@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race fuzz bench benchcheck corpus corpus-update profile lint ci
+.PHONY: all vet build test race fuzz bench benchcheck corpus corpus-update profile lint perfbench-check ci
 
 all: ci
 
@@ -102,4 +102,10 @@ profile: build
 		-cpuprofile $(PROFDIR)/bench_cpu.pprof -memprofile $(PROFDIR)/bench_mem.pprof -o $(PROFDIR)/bench.test .
 	@echo "profiles written to $(PROFDIR)/ (inspect: go tool pprof -top $(PROFDIR)/cpu.pprof)"
 
-ci: lint build test race
+# The benchmark under perfbench/ is a separate Go module, so the root
+# `./...` patterns never build or test it; this target catches a root
+# API change that breaks the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: lint build test race perfbench-check

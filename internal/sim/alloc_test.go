@@ -4,12 +4,10 @@ import (
 	"testing"
 	"time"
 
-	"github.com/flexray-go/coefficient/internal/fault"
 	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/node"
 	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/timebase"
-	"github.com/flexray-go/coefficient/internal/topology"
 	"github.com/flexray-go/coefficient/internal/trace"
 )
 
@@ -25,6 +23,7 @@ type spinScheduler struct {
 
 func (s *spinScheduler) Name() string                         { return "spin" }
 func (s *spinScheduler) Init(env *Env) error                  { s.env = env; return nil }
+func (s *spinScheduler) ResetReplica() error                  { return nil }
 func (s *spinScheduler) CycleStart(int64, timebase.Macrotick) {}
 
 func (s *spinScheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now timebase.Macrotick) *Transmission {
@@ -85,25 +84,23 @@ func TestHotPathAllocFree(t *testing.T) {
 			Period: 5 * time.Millisecond, Deadline: 5 * time.Millisecond,
 			Bits: 64, Priority: 1},
 	}}
-	opts := Options{
+	compiled, err := Compile(Options{
 		Config:         cfg,
 		Workload:       set,
 		Mode:           Batch,
 		BatchInstances: 4,
-		Seed:           7,
-		BitRate:        frame.DefaultBitRate,
-		Sink:           &trace.CountingSink{},
-		InjectorA:      &fault.None{},
-		InjectorB:      &fault.None{},
-		Cluster:        topology.DualChannelBus(workloadNodes(set)),
-	}
-	if err := opts.validate(); err != nil {
-		t.Fatalf("options: %v", err)
-	}
-	eng, err := newEngine(opts, &spinScheduler{})
+	})
 	if err != nil {
-		t.Fatalf("newEngine: %v", err)
+		t.Fatalf("Compile: %v", err)
 	}
+	state, err := compiled.NewState(&spinScheduler{})
+	if err != nil {
+		t.Fatalf("NewState: %v", err)
+	}
+	if err := state.Reset(ReplicaOptions{Seed: 7, Sink: &trace.CountingSink{}}); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	eng := state.eng
 	eng.rel.enqueueBatch()
 
 	// Warm-up: first deliveries populate the lazily grown metrics tables

@@ -7,6 +7,7 @@ import (
 	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/metrics"
 	"github.com/flexray-go/coefficient/internal/node"
+	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/timebase"
 	"github.com/flexray-go/coefficient/internal/topology"
 	"github.com/flexray-go/coefficient/internal/trace"
@@ -22,24 +23,23 @@ import (
 // after Compile returns.
 type Compiled struct {
 	opts Options
-	// proto is the fully compiled prototype environment.  Its dispatch
-	// tables are shared by every state; its ECUs are throwaways that
-	// exist only so compile() ran against a complete Env.
+	// proto is the compiled prototype environment.  Its dispatch tables
+	// are shared by every state; it owns no ECUs — NewState builds them.
 	proto *Env
 	// staticByNode maps node ID → static frame IDs, for building fresh
 	// per-state ECUs.
 	staticByNode map[int][]int
 }
 
-// Compile validates the options, applies Run's defaults and builds the
+// Compile validates the options, applies the defaults and builds the
 // immutable artifact shared by all replicas.  Per-replica concerns must
-// be left unset: injectors, Recorder and Sink belong to ReplicaOptions
-// (the Seed field is ignored and replaced per replica by Reset).
+// be left unset: injectors and Sink belong to ReplicaOptions (the Seed
+// field is ignored and replaced per replica by Reset).
 func Compile(opts Options) (*Compiled, error) {
 	if opts.InjectorA != nil || opts.InjectorB != nil {
 		return nil, fmt.Errorf("%w: Compile: injectors are per-replica; pass them via ReplicaOptions", ErrBadOptions)
 	}
-	if opts.Recorder != nil || opts.Sink != nil {
+	if opts.Sink != nil {
 		return nil, fmt.Errorf("%w: Compile: trace sinks are per-replica; pass them via ReplicaOptions", ErrBadOptions)
 	}
 	if err := opts.validate(); err != nil {
@@ -57,42 +57,60 @@ func Compile(opts Options) (*Compiled, error) {
 	if opts.MaxCycles <= 0 {
 		opts.MaxCycles = 1 << 20
 	}
-	env, staticByNode, err := buildEnv(opts)
-	if err != nil {
-		return nil, err
+
+	cfg := opts.Config
+	env := &Env{
+		Cfg:         cfg,
+		BitRate:     opts.BitRate,
+		Set:         opts.Workload,
+		StaticMsgs:  make(map[int]*signal.Message),
+		DynamicMsgs: make(map[int]*signal.Message),
+		Cluster:     opts.Cluster,
+	}
+	staticByNode := make(map[int][]int)
+	var maxDyn timebase.Macrotick
+	for i := range opts.Workload.Messages {
+		m := &opts.Workload.Messages[i]
+		if _, ok := opts.Cluster.Node(m.Node); !ok {
+			return nil, fmt.Errorf("%w: message %q on unknown node %d",
+				ErrBadOptions, m.Name, m.Node)
+		}
+		switch m.Kind {
+		case signal.Periodic:
+			env.StaticMsgs[m.ID] = m
+			staticByNode[m.Node] = append(staticByNode[m.Node], m.ID)
+			if !env.FitsStaticSlot(m) {
+				return nil, fmt.Errorf("%w: static message %q (%d bits) does not fit a %d-macrotick slot at %d bit/s",
+					ErrBadOptions, m.Name, m.Bits, cfg.StaticSlotLen, opts.BitRate)
+			}
+		case signal.Aperiodic:
+			env.DynamicMsgs[m.ID] = m
+			if d := env.FrameDuration(m); d > maxDyn {
+				maxDyn = d
+			}
+		}
+	}
+	env.LatestTx = cfg.LatestTx
+	if env.LatestTx == 0 {
+		env.LatestTx = cfg.DeriveLatestTx(maxDyn)
 	}
 	env.compile()
 	return &Compiled{opts: opts, proto: env, staticByNode: staticByNode}, nil
 }
 
-// Options returns a copy of the compiled options with defaults applied.
-func (c *Compiled) Options() Options { return c.opts }
-
-// ReplicaOptions is the per-replica half of a batched run: the seed and
-// the optional injectors and trace sink.  The caller owns the injectors
-// and is expected to Reseed and reuse one pair across replicas so their
+// ReplicaOptions is the per-replica half of a run: the seed and the
+// optional injectors and trace sink.  The caller owns the injectors and
+// is expected to Reseed and reuse one pair across replicas so their
 // memoized probability caches survive (fault.Reseeder); nil injectors
-// mean a fault-free channel.  At most one of Recorder and Sink may be
-// set; both nil discards events.
+// mean a fault-free channel and a nil Sink discards events.
 type ReplicaOptions struct {
 	// Seed drives every random stream of the replica: arrivals, CRC
 	// outcomes, clock drift and the scenario timeline.
 	Seed uint64
 	// InjectorA and InjectorB inject transient faults per channel.
 	InjectorA, InjectorB fault.Injector
-	// Recorder optionally captures the bus trace.
-	Recorder *trace.Recorder
 	// Sink optionally receives every bus event.
 	Sink trace.Sink
-}
-
-// ReplicaResettable is implemented by schedulers that can rewind to
-// their just-initialized state without reallocating, so a batched run
-// reuses one scheduler across replicas.  After ResetReplica the
-// scheduler must behave exactly as if Init had just returned on the same
-// environment.  Schedulers without it are re-Init-ed per replica.
-type ReplicaResettable interface {
-	ResetReplica() error
 }
 
 // RunState is the mutable half of a simulation: one engine, scheduler
@@ -110,7 +128,6 @@ type ReplicaResettable interface {
 // A RunState is single-goroutine; run different states concurrently.
 type RunState struct {
 	eng   *engine
-	comp  *Compiled
 	noneA fault.None
 	noneB fault.None
 	// armed flips on Reset and off on Run, so a stale state cannot be
@@ -121,14 +138,17 @@ type RunState struct {
 // NewState builds a fresh mutable run state against the compiled
 // artifact: a new environment sharing the immutable dispatch tables but
 // owning fresh ECUs, a new collector and releaser, and the given
-// scheduler initialized against it.
+// scheduler initialized against it.  Init sees the environment before
+// the first Reset installs the replica's trace sink and timing monitor,
+// so schedulers must read Env.Trace and Env.Sync at run time, through
+// the shared *Env, never cache them in Init.
 func (c *Compiled) NewState(sched Scheduler) (*RunState, error) {
 	p := c.proto
 	env := &Env{
 		Cfg:         p.Cfg,
 		BitRate:     p.BitRate,
 		Set:         p.Set,
-		ECUs:        make(map[int]*node.ECU, len(p.ECUs)),
+		ECUs:        make(map[int]*node.ECU, len(p.Cluster.Nodes)),
 		StaticMsgs:  p.StaticMsgs,
 		DynamicMsgs: p.DynamicMsgs,
 		LatestTx:    p.LatestTx,
@@ -175,29 +195,29 @@ func (c *Compiled) NewState(sched Scheduler) (*RunState, error) {
 	if err := sched.Init(env); err != nil {
 		return nil, fmt.Errorf("scheduler init: %w", err)
 	}
-	return &RunState{eng: eng, comp: c}, nil
+	return &RunState{eng: eng}, nil
 }
 
-// Reset rewinds the state to what newEngine would build for this seed:
-// it replays the construction order exactly — sink, injectors, scenario
-// overrides, node watch, CRC RNG, timing layer, CHI buffers, metrics,
-// releaser, scheduler — so the subsequent Run is byte-identical in trace
-// and metrics to an unbatched Run with the same options and seed.
-// Construct-only branches (scenario compile, timing layer) allocate and
-// are outside the alloc-free replica contract; the flagged constructs
-// live in the unmarked helpers below.
+// Reset arms the state for one replica: it installs the sink and
+// injectors, recompiles the scenario timeline, rebuilds the node watch
+// and timing layer, re-seeds the CRC RNG, and rewinds the CHI buffers,
+// metrics, releaser and scheduler.  Reset is the only place an engine is
+// prepared for a seed — Run goes through it too — so a reused state and
+// a fresh one run byte-identical replicas.  Construct-only branches
+// (scenario compile, timing layer) allocate and are outside the
+// alloc-free replica contract; the flagged constructs live in the
+// unmarked helpers below.
 //
 //perf:hotpath
 func (st *RunState) Reset(ro ReplicaOptions) error {
 	eng := st.eng
 	eng.opts.Seed = ro.Seed
 
-	sink, err := resolveSink(ro)
-	if err != nil {
-		return err
+	eng.sink = ro.Sink
+	if eng.sink == nil {
+		eng.sink = trace.NullSink{}
 	}
-	eng.sink = sink
-	eng.env.Trace = sink
+	eng.env.Trace = eng.sink
 
 	injA, injB := ro.InjectorA, ro.InjectorB
 	if injA == nil {
@@ -254,25 +274,12 @@ func (st *RunState) Run() (Result, error) {
 
 var errNotArmed = fmt.Errorf("%w: RunState.Run without a preceding Reset", ErrBadOptions)
 
-// resolveSink picks the replica's event sink, mirroring newEngine's
-// Recorder/Sink precedence.
-func resolveSink(ro ReplicaOptions) (trace.Sink, error) {
-	if ro.Recorder != nil && ro.Sink != nil {
-		return nil, fmt.Errorf("%w: both Recorder and Sink set", ErrBadOptions)
-	}
-	if ro.Sink != nil {
-		return ro.Sink, nil
-	}
-	if ro.Recorder != nil {
-		return ro.Recorder, nil
-	}
-	return trace.NullSink{}, nil
-}
-
 // resetScenario recompiles the scripted fault timeline for the replica
-// seed and applies its channel-injector overrides, exactly as newEngine
-// does.  Scenario replicas allocate here (a fresh Runtime per seed); the
-// alloc-free contract covers scenario-less runs.
+// seed and applies its channel-injector overrides: scenario channels
+// override the replica injectors so the scripted timeline is the single
+// source of channel fault truth.  Scenario replicas allocate here (a
+// fresh Runtime per seed); the alloc-free contract covers scenario-less
+// runs.
 func (st *RunState) resetScenario(seed uint64) error {
 	eng := st.eng
 	rt, err := eng.opts.Scenario.Compile(eng.opts.Config, seed)
@@ -308,18 +315,10 @@ func (st *RunState) resetTiming() {
 	eng.env.Sync = eng.timing.monitor
 }
 
-// resetScheduler rewinds the scheduler for the next replica: in place
-// when it supports it, by re-running Init otherwise.
+// resetScheduler rewinds the scheduler in place for the next replica.
 func (st *RunState) resetScheduler() error {
-	eng := st.eng
-	if rr, ok := eng.sched.(ReplicaResettable); ok {
-		if err := rr.ResetReplica(); err != nil {
-			return fmt.Errorf("scheduler reset: %w", err)
-		}
-		return nil
-	}
-	if err := eng.sched.Init(eng.env); err != nil {
-		return fmt.Errorf("scheduler init: %w", err)
+	if err := st.eng.sched.ResetReplica(); err != nil {
+		return fmt.Errorf("scheduler reset: %w", err)
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/flexray-go/coefficient/internal/fault"
 	"github.com/flexray-go/coefficient/internal/fspec"
 	"github.com/flexray-go/coefficient/internal/runner"
+	"github.com/flexray-go/coefficient/internal/scenario"
 	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/sim"
 	"github.com/flexray-go/coefficient/internal/sim/batch"
@@ -120,73 +121,140 @@ func traceJSON(t *testing.T, rec *trace.Recorder) []byte {
 	return buf.Bytes()
 }
 
+// replicaVariants are the option layers a reused RunState must rewind
+// besides plain BER streaming: each one adds engine state that Reset
+// rebuilds or re-seeds per replica.
+func replicaVariants(t *testing.T) []struct {
+	name  string
+	apply func(*sim.Options)
+} {
+	t.Helper()
+	scn, err := scenario.Parse([]byte(`{
+		"name": "replica-rewind",
+		"channels": {
+			"B": {
+				"baseBER": 1e-7,
+				"bursts": [{"start": "10ms", "end": "20ms",
+					"berGood": 1e-7, "berBad": 1e-2,
+					"pGoodToBad": 0.5, "pBadToGood": 0.2}]
+			}
+		},
+		"nodes": [
+			{"node": 1, "failAt": "8ms", "recoverAt": "22ms"}
+		]
+	}`))
+	if err != nil {
+		t.Fatalf("scenario: %v", err)
+	}
+	return []struct {
+		name  string
+		apply func(*sim.Options)
+	}{
+		{"plain", func(*sim.Options) {}},
+		{"scenario", func(o *sim.Options) { o.Scenario = scn }},
+		// Unsynchronized drift pushes nodes off their slot boundaries, so
+		// the guardians block and nodes demote: seed-dependent clock state.
+		{"timing", func(o *sim.Options) {
+			o.Timing = &sim.TimingOptions{DriftPPM: 1000, JitterMicroticks: 2, Guardians: true}
+		}},
+		{"node-failures", func(o *sim.Options) {
+			o.NodeFailures = map[int]timebase.Macrotick{2: 12_000}
+			o.NodeRecoveries = map[int]timebase.Macrotick{2: 30_000}
+		}},
+		// A second dynamic stream on node 0 whose deadline spans several
+		// periods overflows the one-instance dynamic queue.
+		{"chi-capacity", func(o *sim.Options) {
+			o.CHIStaticCapacity, o.CHIDynamicCapacity = 1, 1
+			o.Workload.Messages = append(o.Workload.Messages, signal.Message{
+				ID: 22, Name: "d22", Node: 0, Kind: signal.Aperiodic,
+				Period: time.Millisecond, Deadline: 6 * time.Millisecond,
+				Bits: 256, Priority: 3})
+		}},
+		{"batch", func(o *sim.Options) { o.Mode, o.Duration, o.BatchInstances = sim.Batch, 0, 6 }},
+	}
+}
+
 // TestReplicaTraceByteIdentity is the strongest witness of the
-// compiled/replica-state split: for every scheduler family, running
-// seeds back to back on ONE reused RunState must produce bus traces
-// byte-identical to a fresh engine per seed.  The seed list repeats its
-// first entry at the end, so a replica polluted by its predecessor's
-// state (arena not rewound, counter not zeroed, scheduler not reset)
-// cannot pass.
+// compiled/replica-state split: for every scheduler family and every
+// option layer Reset rewinds, running seeds back to back on ONE reused
+// RunState must produce bus traces byte-identical to a fresh state per
+// seed (sim.Run).  The seed list repeats its first entry at the end, so
+// a replica polluted by its predecessor's state (arena not rewound,
+// counter not zeroed, scheduler not reset) cannot pass.
 func TestReplicaTraceByteIdentity(t *testing.T) {
 	seeds := []uint64{3, 9, 3}
+	variants := replicaVariants(t)
 	for _, tc := range testSchedulers() {
 		t.Run(tc.name, func(t *testing.T) {
-			sched, err := tc.mk()
-			if err != nil {
-				t.Fatalf("scheduler: %v", err)
-			}
-			compiled, err := sim.Compile(testOptions())
-			if err != nil {
-				t.Fatalf("Compile: %v", err)
-			}
-			state, err := compiled.NewState(sched)
-			if err != nil {
-				t.Fatalf("NewState: %v", err)
-			}
-			for i, seed := range seeds {
-				// Naive side: everything rebuilt from scratch.
-				naiveSched, err := tc.mk()
-				if err != nil {
-					t.Fatalf("scheduler: %v", err)
-				}
-				injA, injB := replicaInjectors(t, seed)
-				naiveRec := trace.New()
-				naiveOpts := testOptions()
-				naiveOpts.Seed = seed
-				naiveOpts.InjectorA, naiveOpts.InjectorB = injA, injB
-				naiveOpts.Recorder = naiveRec
-				naiveRes, err := sim.Run(naiveOpts, naiveSched)
-				if err != nil {
-					t.Fatalf("seed %d: naive Run: %v", seed, err)
-				}
-
-				// Batched side: the state carries over from the previous
-				// replica; only Reset separates them.
-				injA2, injB2 := replicaInjectors(t, seed)
-				rec := trace.New()
-				if err := state.Reset(sim.ReplicaOptions{
-					Seed: seed, InjectorA: injA2, InjectorB: injB2, Recorder: rec,
-				}); err != nil {
-					t.Fatalf("seed %d: Reset: %v", seed, err)
-				}
-				res, err := state.Run()
-				if err != nil {
-					t.Fatalf("seed %d: batched Run: %v", seed, err)
-				}
-
-				if got, want := traceJSON(t, rec), traceJSON(t, naiveRec); !bytes.Equal(got, want) {
-					t.Errorf("replica %d (seed %d): batched trace differs from naive (%d vs %d bytes)",
-						i, seed, len(got), len(want))
-				}
-				if !reflect.DeepEqual(res.Report, naiveRes.Report) {
-					t.Errorf("replica %d (seed %d): batched report differs from naive:\n got  %+v\n want %+v",
-						i, seed, res.Report, naiveRes.Report)
-				}
-				if res.Cycles != naiveRes.Cycles || res.FaultsA != naiveRes.FaultsA || res.FaultsB != naiveRes.FaultsB {
-					t.Errorf("replica %d (seed %d): batched result header differs from naive", i, seed)
-				}
+			for _, v := range variants {
+				t.Run(v.name, func(t *testing.T) {
+					opts := testOptions()
+					v.apply(&opts)
+					checkReplicaTraces(t, opts, tc.mk, seeds)
+				})
 			}
 		})
+	}
+}
+
+// checkReplicaTraces runs seeds back to back on one state compiled from
+// opts and compares each replica with a fresh sim.Run of the same seed.
+func checkReplicaTraces(t *testing.T, opts sim.Options, mk func() (sim.Scheduler, error), seeds []uint64) {
+	t.Helper()
+	sched, err := mk()
+	if err != nil {
+		t.Fatalf("scheduler: %v", err)
+	}
+	compiled, err := sim.Compile(opts)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	state, err := compiled.NewState(sched)
+	if err != nil {
+		t.Fatalf("NewState: %v", err)
+	}
+	for i, seed := range seeds {
+		// Naive side: everything rebuilt from scratch.
+		naiveSched, err := mk()
+		if err != nil {
+			t.Fatalf("scheduler: %v", err)
+		}
+		injA, injB := replicaInjectors(t, seed)
+		naiveRec := trace.New()
+		naiveOpts := opts
+		naiveOpts.Seed = seed
+		naiveOpts.InjectorA, naiveOpts.InjectorB = injA, injB
+		naiveOpts.Sink = naiveRec
+		naiveRes, err := sim.Run(naiveOpts, naiveSched)
+		if err != nil {
+			t.Fatalf("seed %d: naive Run: %v", seed, err)
+		}
+
+		// Batched side: the state carries over from the previous
+		// replica; only Reset separates them.
+		injA2, injB2 := replicaInjectors(t, seed)
+		rec := trace.New()
+		if err := state.Reset(sim.ReplicaOptions{
+			Seed: seed, InjectorA: injA2, InjectorB: injB2, Sink: rec,
+		}); err != nil {
+			t.Fatalf("seed %d: Reset: %v", seed, err)
+		}
+		res, err := state.Run()
+		if err != nil {
+			t.Fatalf("seed %d: batched Run: %v", seed, err)
+		}
+
+		if got, want := traceJSON(t, rec), traceJSON(t, naiveRec); !bytes.Equal(got, want) {
+			t.Errorf("replica %d (seed %d): batched trace differs from naive (%d vs %d bytes)",
+				i, seed, len(got), len(want))
+		}
+		if !reflect.DeepEqual(res.Report, naiveRes.Report) {
+			t.Errorf("replica %d (seed %d): batched report differs from naive:\n got  %+v\n want %+v",
+				i, seed, res.Report, naiveRes.Report)
+		}
+		if res.Cycles != naiveRes.Cycles || res.FaultsA != naiveRes.FaultsA || res.FaultsB != naiveRes.FaultsB {
+			t.Errorf("replica %d (seed %d): batched result header differs from naive", i, seed)
+		}
 	}
 }
 

@@ -68,7 +68,7 @@ func TestStreamingFaultFreeDeliversEverything(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: 100 * time.Millisecond,
 		Seed:     1,
-		Recorder: rec,
+		Sink:     rec,
 	}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -339,7 +339,7 @@ func TestPartialTopologyNoInvalidTransmissions(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
 		Seed:     1,
-		Recorder: rec,
+		Sink:     rec,
 	}, fspec.New(fspec.Options{Copies: 2}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -374,7 +374,7 @@ func TestArrivalJitter(t *testing.T) {
 			Duration:      200 * time.Millisecond,
 			Seed:          4,
 			ArrivalJitter: jitter,
-			Recorder:      rec,
+			Sink:          rec,
 		}, fspec.New(fspec.Options{}))
 		if err != nil {
 			t.Fatalf("Run(jitter=%g): %v", jitter, err)
@@ -466,7 +466,7 @@ func TestSymbolWindowStaysSilent(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
 		Seed:     1,
-		Recorder: rec,
+		Sink:     rec,
 	}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -601,6 +601,7 @@ type brokenScheduler struct {
 
 func (b *brokenScheduler) Name() string                         { return "broken" }
 func (b *brokenScheduler) Init(env *sim.Env) error              { b.env = env; return nil }
+func (b *brokenScheduler) ResetReplica() error                  { return nil }
 func (b *brokenScheduler) CycleStart(int64, timebase.Macrotick) {}
 
 func (b *brokenScheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now timebase.Macrotick) *sim.Transmission {
@@ -651,7 +652,7 @@ func TestEngineRejectsProtocolViolations(t *testing.T) {
 			Mode:     sim.Streaming,
 			Duration: 10 * time.Millisecond,
 			Seed:     1,
-			Recorder: rec,
+			Sink:     rec,
 		}, &brokenScheduler{mode: mode})
 		if err != nil {
 			t.Fatalf("mode %d: Run: %v", mode, err)
@@ -702,6 +703,7 @@ func (e *envCapture) Init(env *sim.Env) error {
 	*e.out = env
 	return e.inner.Init(env)
 }
+func (e *envCapture) ResetReplica() error                        { return e.inner.ResetReplica() }
 func (e *envCapture) CycleStart(c int64, now timebase.Macrotick) { e.inner.CycleStart(c, now) }
 func (e *envCapture) StaticSlot(ch frame.Channel, c int64, slot int, now timebase.Macrotick) *sim.Transmission {
 	return e.inner.StaticSlot(ch, c, slot, now)
@@ -731,7 +733,7 @@ func TestExplicitLatestTxHonored(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
 		Seed:     1,
-		Recorder: rec,
+		Sink:     rec,
 	}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)

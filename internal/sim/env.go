@@ -317,6 +317,16 @@ func (tx *Transmission) validate(env *Env) error {
 	return nil
 }
 
+// ReplicaResettable is the rewind half of a Scheduler: ResetReplica
+// returns the scheduler to its just-initialized state without
+// reallocating, so one scheduler serves every replica of a RunState.
+// After ResetReplica the scheduler must behave exactly as if Init had
+// just returned on the same environment.  RunState.Reset calls it before
+// every replica, the first included.
+type ReplicaResettable interface {
+	ResetReplica() error
+}
+
 // Scheduler is the policy half of the simulator.  Exactly one method is
 // invoked at a time; implementations need no locking.
 //
@@ -327,8 +337,10 @@ func (tx *Transmission) validate(env *Env) error {
 type Scheduler interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// Init receives the environment before the first cycle.
+	// Init receives the environment once, when the RunState is built.
 	Init(env *Env) error
+	// ReplicaResettable rewinds the scheduler before each replica.
+	ReplicaResettable
 	// CycleStart is called at the beginning of every communication cycle.
 	CycleStart(cycle int64, now timebase.Macrotick)
 	// StaticSlot picks the transmission for static slot `slot` of `cycle`
