@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race fuzz bench benchcheck corpus corpus-update profile lint perfbench-check ci
+.PHONY: all vet build test race fuzz bench benchcheck corpus corpus-update results-check profile lint perfbench-check ci
 
 all: ci
 
@@ -87,6 +87,18 @@ corpus: build
 corpus-update: build
 	$(GO) run ./cmd/coefficientcorpus diff -seed $(CORPUSSEED) -count $(CORPUSCOUNT) -quick -golden $(CORPUSGOLDEN) -update
 
+# Regenerate the quick sweep at seed 1 (tables as text and csv, plus the
+# SVG figures) into a temporary directory and diff every file against
+# the committed results/, so a behavior change cannot leave them stale.
+results-check: build
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/coefficientsim -experiment all -quick -seed 1 -output $$tmp/all_experiments.txt -svg $$tmp || exit $$?; \
+	$(GO) run ./cmd/coefficientsim -experiment all -quick -seed 1 -format csv -output $$tmp/all_experiments.csv || exit $$?; \
+	status=0; \
+	for f in $$tmp/*; do diff -u results/$$(basename $$f) $$f || status=1; done; \
+	if [ $$status -ne 0 ]; then echo "results/ is stale: regenerate it with the commands in EXPERIMENTS.md" >&2; exit 1; fi; \
+	echo "results-check: results/ matches a fresh quick sweep"
+
 # Profile the hot path two ways into PROFDIR: CPU/alloc profiles of a
 # full experiment sweep via cmd/coefficientsim, plus the engine
 # micro-benchmarks with the go test profiler.  Inspect with
@@ -108,4 +120,4 @@ profile: build
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: lint build test race perfbench-check
+ci: lint build test race perfbench-check results-check

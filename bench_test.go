@@ -245,15 +245,12 @@ func ablationRun(b *testing.B, opts coefficient.SchedulerOptions) coefficient.Re
 		b.Fatal(err)
 	}
 	res, err := coefficient.Simulate(coefficient.SimOptions{
-		Config:    setup.Config,
-		Workload:  set,
-		BitRate:   setup.BitRate,
-		InjectorA: injA,
-		InjectorB: injB,
-		Seed:      1,
-		Mode:      coefficient.Streaming,
-		Duration:  300 * time.Millisecond,
-	}, coefficient.NewCoEfficient(opts))
+		Config:   setup.Config,
+		Workload: set,
+		BitRate:  setup.BitRate,
+		Mode:     coefficient.Streaming,
+		Duration: 300 * time.Millisecond,
+	}, coefficient.ReplicaOptions{Seed: 1, InjectorA: injA, InjectorB: injB}, coefficient.NewCoEfficient(opts))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -357,10 +354,9 @@ func BenchmarkSimulateCycle(b *testing.B) {
 			Config:   setup.Config,
 			Workload: set,
 			BitRate:  setup.BitRate,
-			Seed:     1,
 			Mode:     coefficient.Streaming,
 			Duration: 100 * time.Millisecond,
-		}, coefficient.NewFSPEC(coefficient.FSPECOptions{}))
+		}, coefficient.ReplicaOptions{Seed: 1}, coefficient.NewFSPEC(coefficient.FSPECOptions{}))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -18,7 +18,7 @@
 //		BitRate:  setup.BitRate,
 //		Mode:     coefficient.Streaming,
 //		Duration: 2 * time.Second,
-//	}, coefficient.NewCoEfficient(coefficient.SchedulerOptions{BER: 1e-7}))
+//	}, coefficient.ReplicaOptions{}, coefficient.NewCoEfficient(coefficient.SchedulerOptions{BER: 1e-7}))
 //	fmt.Println(res.Report.MeanLatency[coefficient.StaticSegment])
 //
 // See the examples/ directory for complete programs and the internal
@@ -90,6 +90,9 @@ const (
 type (
 	// SimOptions configures one simulation run.
 	SimOptions = sim.Options
+	// ReplicaOptions is the per-replica half of a run: the seed, the
+	// channel fault injectors and the trace sink.
+	ReplicaOptions = sim.ReplicaOptions
 	// SimResult is the outcome of a run.
 	SimResult = sim.Result
 	// Scheduler is the policy interface both schedulers implement.
@@ -102,7 +105,7 @@ type (
 	Cluster = topology.Cluster
 	// TraceRecorder captures per-frame bus events.
 	TraceRecorder = trace.Recorder
-	// TraceSink receives bus events; set SimOptions.Sink to observe a
+	// TraceSink receives bus events; set ReplicaOptions.Sink to observe a
 	// run without retaining every event.
 	TraceSink = trace.Sink
 	// TraceEvent is one recorded bus event.
@@ -319,8 +322,10 @@ func NewCoEfficient(opts SchedulerOptions) *CoEfficientScheduler { return core.N
 // NewFSPEC returns the baseline scheduler.
 func NewFSPEC(opts FSPECOptions) *FSPECScheduler { return fspec.New(opts) }
 
-// Simulate runs one simulation.
-func Simulate(opts SimOptions, sched Scheduler) (SimResult, error) { return sim.Run(opts, sched) }
+// Simulate runs one simulation: the replica ro describes, under opts.
+func Simulate(opts SimOptions, ro ReplicaOptions, sched Scheduler) (SimResult, error) {
+	return sim.Run(opts, ro, sched)
+}
 
 // NewTraceRecorder returns an enabled bus trace recorder.
 func NewTraceRecorder() *TraceRecorder { return trace.New() }

@@ -32,15 +32,12 @@ func TestPublicAPISimulation(t *testing.T) {
 	}
 	rec := coefficient.NewTraceRecorder()
 	res, err := coefficient.Simulate(coefficient.SimOptions{
-		Config:    setup.Config,
-		Workload:  set,
-		BitRate:   setup.BitRate,
-		InjectorA: injA,
-		Seed:      1,
-		Mode:      coefficient.Streaming,
-		Duration:  200 * time.Millisecond,
-		Sink:      rec,
-	}, coefficient.NewCoEfficient(coefficient.SchedulerOptions{BER: 1e-7, Goal: 0.999}))
+		Config:   setup.Config,
+		Workload: set,
+		BitRate:  setup.BitRate,
+		Mode:     coefficient.Streaming,
+		Duration: 200 * time.Millisecond,
+	}, coefficient.ReplicaOptions{Seed: 1, InjectorA: injA, Sink: rec}, coefficient.NewCoEfficient(coefficient.SchedulerOptions{BER: 1e-7, Goal: 0.999}))
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}

@@ -23,10 +23,9 @@ func ExampleSimulate() {
 		Config:   setup.Config,
 		Workload: set,
 		BitRate:  setup.BitRate,
-		Seed:     1,
 		Mode:     coefficient.Streaming,
 		Duration: time.Second,
-	}, coefficient.NewCoEfficient(coefficient.SchedulerOptions{}))
+	}, coefficient.ReplicaOptions{Seed: 1}, coefficient.NewCoEfficient(coefficient.SchedulerOptions{}))
 	if err != nil {
 		log.Fatal(err)
 	}

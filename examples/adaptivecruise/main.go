@@ -40,10 +40,9 @@ func main() {
 				Config:   setup.Config,
 				Workload: set,
 				BitRate:  setup.BitRate,
-				Seed:     seed,
 				Mode:     coefficient.Streaming,
 				Duration: time.Second,
-			}, sched)
+			}, coefficient.ReplicaOptions{Seed: seed}, sched)
 			if err != nil {
 				log.Fatal(err)
 			}

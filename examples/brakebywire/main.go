@@ -49,15 +49,12 @@ func main() {
 			log.Fatal(err)
 		}
 		res, err := coefficient.Simulate(coefficient.SimOptions{
-			Config:    setup.Config,
-			Workload:  set,
-			BitRate:   setup.BitRate,
-			InjectorA: injA,
-			InjectorB: injB,
-			Seed:      seed,
-			Mode:      coefficient.Streaming,
-			Duration:  2 * time.Second,
-		}, sched)
+			Config:   setup.Config,
+			Workload: set,
+			BitRate:  setup.BitRate,
+			Mode:     coefficient.Streaming,
+			Duration: 2 * time.Second,
+		}, coefficient.ReplicaOptions{Seed: seed, InjectorA: injA, InjectorB: injB}, sched)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -80,17 +80,16 @@ func main() {
 		log.Fatal(err)
 	}
 	res, err := coefficient.Simulate(coefficient.SimOptions{
-		Config:    setup.Config,
-		Workload:  set,
-		BitRate:   setup.BitRate,
-		InjectorA: injA,
-		Seed:      11,
-		Mode:      coefficient.Streaming,
-		Duration:  2 * time.Second,
-		NodeFailures: map[int]coefficient.Macrotick{
-			4: 1_000_000, // ECU 4 dies at t = 1s
-		},
-	}, coefficient.NewCoEfficient(coefficient.SchedulerOptions{BER: 1e-7, Goal: 0.999}))
+		Config:   setup.Config,
+		Workload: set,
+		BitRate:  setup.BitRate,
+		Mode:     coefficient.Streaming,
+		Duration: 2 * time.Second,
+		Scenario: &coefficient.FaultScenario{Nodes: []coefficient.ScenarioNodeEvent{
+			{Node: 4, FailAt: coefficient.ScenarioDuration(time.Second)}, // ECU 4 dies at t = 1s
+		}},
+	}, coefficient.ReplicaOptions{Seed: 11, InjectorA: injA},
+		coefficient.NewCoEfficient(coefficient.SchedulerOptions{BER: 1e-7, Goal: 0.999}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,15 +44,12 @@ func main() {
 		Goal: 0.999,
 	})
 	res, err := coefficient.Simulate(coefficient.SimOptions{
-		Config:    setup.Config,
-		Workload:  set,
-		BitRate:   setup.BitRate,
-		InjectorA: injA,
-		InjectorB: injB,
-		Seed:      1,
-		Mode:      coefficient.Streaming,
-		Duration:  time.Second,
-	}, sched)
+		Config:   setup.Config,
+		Workload: set,
+		BitRate:  setup.BitRate,
+		Mode:     coefficient.Streaming,
+		Duration: time.Second,
+	}, coefficient.ReplicaOptions{Seed: 1, InjectorA: injA, InjectorB: injB}, sched)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -145,8 +145,7 @@ func TestWCRTBoundsSimulatedLatency(t *testing.T) {
 		Workload: set,
 		Mode:     sim.Streaming,
 		Duration: 500 * time.Millisecond,
-		Seed:     3,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 3}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -50,10 +50,8 @@ func runScenario(t *testing.T, sched sim.Scheduler, set signal.Set, scn *scenari
 		Workload: set,
 		Mode:     sim.Streaming,
 		Duration: dur,
-		Seed:     seed,
-		Sink:     rec,
 		Scenario: scn,
-	}, sched)
+	}, sim.ReplicaOptions{Seed: seed, Sink: rec}, sched)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", sched.Name(), err)
 	}

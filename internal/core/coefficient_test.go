@@ -52,20 +52,20 @@ func runWith(t *testing.T, sched sim.Scheduler, ber float64, seed uint64, dur ti
 		Workload: mixedWorkload(),
 		Mode:     sim.Streaming,
 		Duration: dur,
-		Seed:     seed,
 	}
+	ro := sim.ReplicaOptions{Seed: seed}
 	if ber > 0 {
 		var err error
-		opts.InjectorA, err = fault.NewBERInjector(ber, seed+1)
+		ro.InjectorA, err = fault.NewBERInjector(ber, seed+1)
 		if err != nil {
 			t.Fatalf("NewBERInjector: %v", err)
 		}
-		opts.InjectorB, err = fault.NewBERInjector(ber, seed+2)
+		ro.InjectorB, err = fault.NewBERInjector(ber, seed+2)
 		if err != nil {
 			t.Fatalf("NewBERInjector: %v", err)
 		}
 	}
-	res, err := sim.Run(opts, sched)
+	res, err := sim.Run(opts, ro, sched)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", sched.Name(), err)
 	}
@@ -191,9 +191,7 @@ func TestCoEfficientBatchMode(t *testing.T) {
 		Workload:       mixedWorkload(),
 		Mode:           sim.Batch,
 		BatchInstances: 30,
-		Seed:           5,
-		InjectorA:      injA,
-	}, sched)
+	}, sim.ReplicaOptions{Seed: 5, InjectorA: injA}, sched)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -218,10 +216,7 @@ func TestCoEfficientBatchFasterThanFSPEC(t *testing.T) {
 			Workload:       mixedWorkload(),
 			Mode:           sim.Batch,
 			BatchInstances: 50,
-			Seed:           5,
-			InjectorA:      injA,
-			InjectorB:      injB,
-		}, sched)
+		}, sim.ReplicaOptions{Seed: 5, InjectorA: injA, InjectorB: injB}, sched)
 		if err != nil {
 			t.Fatalf("Run(%s): %v", sched.Name(), err)
 		}

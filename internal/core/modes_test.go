@@ -24,10 +24,9 @@ func TestProactiveVsReactiveBandwidth(t *testing.T) {
 			Workload: mixedWorkload(),
 			Mode:     sim.Streaming,
 			Duration: 100 * time.Millisecond,
-			Seed:     3,
-			// Fault-free wire despite the scheduler planning for 1e-4.
 		}
-		res, err := sim.Run(opts, sched)
+		// Fault-free wire despite the scheduler planning for 1e-4.
+		res, err := sim.Run(opts, sim.ReplicaOptions{Seed: 3}, sched)
 		if err != nil {
 			t.Fatalf("Run(reactive=%v): %v", reactive, err)
 		}
@@ -67,14 +66,11 @@ func TestReactiveRecoversFaults(t *testing.T) {
 		t.Fatalf("NewBERInjector: %v", err)
 	}
 	res, err := sim.Run(sim.Options{
-		Config:    testConfig(),
-		Workload:  mixedWorkload(),
-		Mode:      sim.Streaming,
-		Duration:  500 * time.Millisecond,
-		Seed:      9,
-		InjectorA: injA,
-		InjectorB: injB,
-	}, sched)
+		Config:   testConfig(),
+		Workload: mixedWorkload(),
+		Mode:     sim.Streaming,
+		Duration: 500 * time.Millisecond,
+	}, sim.ReplicaOptions{Seed: 9, InjectorA: injA, InjectorB: injB}, sched)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -104,13 +100,11 @@ func TestCoEfficientUnderBurstFaults(t *testing.T) {
 	}
 	sched := core.New(core.Options{BER: 1e-4, Goal: 0.999})
 	res, err := sim.Run(sim.Options{
-		Config:    testConfig(),
-		Workload:  mixedWorkload(),
-		Mode:      sim.Streaming,
-		Duration:  500 * time.Millisecond,
-		Seed:      7,
-		InjectorA: ge,
-	}, sched)
+		Config:   testConfig(),
+		Workload: mixedWorkload(),
+		Mode:     sim.Streaming,
+		Duration: 500 * time.Millisecond,
+	}, sim.ReplicaOptions{Seed: 7, InjectorA: ge}, sched)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -149,13 +143,11 @@ func TestRetxQueueDoesNotLeak(t *testing.T) {
 		t.Fatalf("NewBERInjector: %v", err)
 	}
 	_, err = sim.Run(sim.Options{
-		Config:    testConfig(),
-		Workload:  mixedWorkload(),
-		Mode:      sim.Streaming,
-		Duration:  time.Second,
-		Seed:      3,
-		InjectorA: injA,
-	}, sched)
+		Config:   testConfig(),
+		Workload: mixedWorkload(),
+		Mode:     sim.Streaming,
+		Duration: time.Second,
+	}, sim.ReplicaOptions{Seed: 3, InjectorA: injA}, sched)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -191,8 +183,7 @@ func TestSelectiveSlackSkipsOversizedFrames(t *testing.T) {
 			Workload: set,
 			Mode:     sim.Streaming,
 			Duration: 100 * time.Millisecond,
-			Seed:     2,
-		}, sched)
+		}, sim.ReplicaOptions{Seed: 2}, sched)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -248,14 +239,11 @@ func TestReactiveJobLifecycleUnderPressure(t *testing.T) {
 		t.Fatalf("NewBERInjector: %v", err)
 	}
 	res, err := sim.Run(sim.Options{
-		Config:    testConfig(),
-		Workload:  mixedWorkload(),
-		Mode:      sim.Streaming,
-		Duration:  500 * time.Millisecond,
-		Seed:      13,
-		InjectorA: injA,
-		InjectorB: injB,
-	}, sched)
+		Config:   testConfig(),
+		Workload: mixedWorkload(),
+		Mode:     sim.Streaming,
+		Duration: 500 * time.Millisecond,
+	}, sim.ReplicaOptions{Seed: 13, InjectorA: injA, InjectorB: injB}, sched)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -302,14 +290,11 @@ func TestPlannedReliabilityHoldsEmpirically(t *testing.T) {
 		t.Fatalf("NewBERInjector: %v", err)
 	}
 	res, err := sim.Run(sim.Options{
-		Config:    testConfig(),
-		Workload:  mixedWorkload(),
-		Mode:      sim.Streaming,
-		Duration:  2 * time.Second,
-		Seed:      31,
-		InjectorA: injA,
-		InjectorB: injB,
-	}, sched)
+		Config:   testConfig(),
+		Workload: mixedWorkload(),
+		Mode:     sim.Streaming,
+		Duration: 2 * time.Second,
+	}, sim.ReplicaOptions{Seed: 31, InjectorA: injA, InjectorB: injB}, sched)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -180,12 +180,9 @@ func runningTimeBatch(set signal.Set, slots int, opts RunningTimeOptions, name s
 			Config:         setup.Config,
 			Workload:       set,
 			BitRate:        setup.BitRate,
-			InjectorA:      injA,
-			InjectorB:      injB,
-			Seed:           opts.Seed,
 			Mode:           sim.Batch,
 			BatchInstances: batchInstances(opts.Quick),
-		}, sched)
+		}, sim.ReplicaOptions{Seed: opts.Seed, InjectorA: injA, InjectorB: injB}, sched)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s/%d slots: %w", name, sched.Name(), slots, err)
 		}

@@ -62,15 +62,12 @@ func runStreaming(set signal.Set, setup Setup, sc Scenario, sched sim.Scheduler,
 		return sim.Result{}, err
 	}
 	return sim.Run(sim.Options{
-		Config:    setup.Config,
-		Workload:  set,
-		BitRate:   setup.BitRate,
-		InjectorA: injA,
-		InjectorB: injB,
-		Seed:      seed,
-		Mode:      sim.Streaming,
-		Duration:  streamDuration(quick),
-	}, sched)
+		Config:   setup.Config,
+		Workload: set,
+		BitRate:  setup.BitRate,
+		Mode:     sim.Streaming,
+		Duration: streamDuration(quick),
+	}, sim.ReplicaOptions{Seed: seed, InjectorA: injA, InjectorB: injB}, sched)
 }
 
 // UtilizationRow is one point of Figure 3.
@@ -409,12 +406,13 @@ func (o *MissOptions) fill() {
 // MissRatio reproduces Figure 5: deadline miss ratios on the BBW + SAE
 // workload across dynamic segment sizes and reliability settings.  Each
 // (minislots, scenario, scheduler) point is one batch.Spec whose seeds
-// are the derived replica seeds: the pool compiles the point's scenario
-// once (shared across schedulers via the minislots CompileKey), runs all
-// replicas of a point back to back on one reused run state, and returns
-// results in canonical spec-major order, keeping mean and stddev
-// independent of the parallelism degree — and byte-identical to the old
-// one-engine-per-replica sweep, which the differential tests pin.
+// are the derived replica seeds.  The simulation compiles once per
+// minislot coordinate and every point there shares the *sim.Compiled;
+// the pool runs all replicas of a point back to back on one reused run
+// state and returns results in canonical spec-major order, keeping mean
+// and stddev independent of the parallelism degree — and byte-identical
+// to the old one-engine-per-replica sweep, which the differential tests
+// pin.
 func MissRatio(opts MissOptions) ([]MissRow, error) {
 	opts.fill()
 	set, err := latencyWorkload(workload.BBW(), latencyStaticSlots, opts.Seed)
@@ -440,19 +438,22 @@ func MissRatio(opts MissOptions) ([]MissRow, error) {
 	var specs []batch.Spec
 	for j, ms := range opts.Minislots {
 		setup := setups[j]
+		compiled, err := sim.Compile(sim.Options{
+			Config:   setup.Config,
+			Workload: set,
+			BitRate:  setup.BitRate,
+			Mode:     sim.Streaming,
+			Duration: streamDuration(opts.Quick),
+		})
+		if err != nil {
+			return nil, fmt.Errorf("fig5: %w", err)
+		}
 		for _, sc := range opts.Scenarios {
 			for schedIdx := 0; schedIdx < 2; schedIdx++ {
 				sc, schedIdx := sc, schedIdx
 				points = append(points, missPoint{ms: ms, sc: sc, schedIdx: schedIdx})
 				specs = append(specs, batch.Spec{
-					Options: sim.Options{
-						Config:   setup.Config,
-						Workload: set,
-						BitRate:  setup.BitRate,
-						Mode:     sim.Streaming,
-						Duration: streamDuration(opts.Quick),
-					},
-					CompileKey: ms,
+					Compiled: compiled,
 					NewScheduler: func() (sim.Scheduler, error) {
 						return schedulers(set, sc)[schedIdx], nil
 					},

@@ -153,12 +153,11 @@ func TimingFault(opts TimingFaultOptions) ([]TimingFaultRow, error) {
 			Config:   setup.Config,
 			Workload: set,
 			BitRate:  setup.BitRate,
-			Seed:     opts.Seed,
 			Scenario: v.scn,
 			Timing:   v.timing,
 			Mode:     sim.Streaming,
 			Duration: horizon,
-		}, sched)
+		}, sim.ReplicaOptions{Seed: opts.Seed}, sched)
 		if err != nil {
 			return TimingFaultRow{}, fmt.Errorf("timing %s: %w", v.label, err)
 		}

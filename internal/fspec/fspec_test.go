@@ -48,9 +48,7 @@ func TestBlindCopiesGoOutEvenWithoutFaults(t *testing.T) {
 		Workload: smallWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
-		Seed:     1,
-		Sink:     rec,
-	}, fspec.New(fspec.Options{Copies: 3}))
+	}, sim.ReplicaOptions{Seed: 1, Sink: rec}, fspec.New(fspec.Options{Copies: 3}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -77,8 +75,7 @@ func TestCopiesDefaultsToOne(t *testing.T) {
 		Workload: smallWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
-		Seed:     1,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 1}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -96,8 +93,7 @@ func TestZeroCopiesClamped(t *testing.T) {
 		Workload: smallWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 20 * time.Millisecond,
-		Seed:     1,
-	}, fspec.New(fspec.Options{Copies: 0}))
+	}, sim.ReplicaOptions{Seed: 1}, fspec.New(fspec.Options{Copies: 0}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -115,9 +111,7 @@ func TestDynamicSegmentOnly(t *testing.T) {
 		Workload: smallWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
-		Seed:     3,
-		Sink:     rec,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 3, Sink: rec}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -173,7 +173,7 @@ var criticalScope = map[string][]string{
 	// daemon (retry jitter), corpus generation, and every binary and
 	// example that hands seeds in from the outside (the "/..." entries
 	// match whole subtrees).  internal/sim is deliberately out of scope:
-	// the engine's frozen XOR-salt convention (opts.Seed ^ seedCRC) is
+	// the engine's frozen XOR-salt convention (seed ^ seedCRC) is
 	// pinned by byte-identical trace goldens and predates the contract.
 	// internal/sim/batch IS in scope, unlike its parent: replica seeds
 	// enter the dispatcher from Spec.Seeds and must be CellSeed-derived,

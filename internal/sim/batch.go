@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/flexray-go/coefficient/internal/fault"
 	"github.com/flexray-go/coefficient/internal/frame"
@@ -26,22 +27,16 @@ type Compiled struct {
 	// proto is the compiled prototype environment.  Its dispatch tables
 	// are shared by every state; it owns no ECUs — NewState builds them.
 	proto *Env
+	// nodeIDs lists the cluster's node IDs in ascending order and
 	// staticByNode maps node ID → static frame IDs, for building fresh
 	// per-state ECUs.
+	nodeIDs      []int
 	staticByNode map[int][]int
 }
 
 // Compile validates the options, applies the defaults and builds the
-// immutable artifact shared by all replicas.  Per-replica concerns must
-// be left unset: injectors and Sink belong to ReplicaOptions (the Seed
-// field is ignored and replaced per replica by Reset).
+// immutable artifact shared by all replicas.
 func Compile(opts Options) (*Compiled, error) {
-	if opts.InjectorA != nil || opts.InjectorB != nil {
-		return nil, fmt.Errorf("%w: Compile: injectors are per-replica; pass them via ReplicaOptions", ErrBadOptions)
-	}
-	if opts.Sink != nil {
-		return nil, fmt.Errorf("%w: Compile: trace sinks are per-replica; pass them via ReplicaOptions", ErrBadOptions)
-	}
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -54,19 +49,9 @@ func Compile(opts Options) (*Compiled, error) {
 	if err := opts.Cluster.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
 	}
-	if opts.MaxCycles <= 0 {
-		opts.MaxCycles = 1 << 20
-	}
 
 	cfg := opts.Config
-	env := &Env{
-		Cfg:         cfg,
-		BitRate:     opts.BitRate,
-		Set:         opts.Workload,
-		StaticMsgs:  make(map[int]*signal.Message),
-		DynamicMsgs: make(map[int]*signal.Message),
-		Cluster:     opts.Cluster,
-	}
+	env := &Env{Cfg: cfg, BitRate: opts.BitRate, Set: opts.Workload, Cluster: opts.Cluster}
 	staticByNode := make(map[int][]int)
 	var maxDyn timebase.Macrotick
 	for i := range opts.Workload.Messages {
@@ -77,14 +62,12 @@ func Compile(opts Options) (*Compiled, error) {
 		}
 		switch m.Kind {
 		case signal.Periodic:
-			env.StaticMsgs[m.ID] = m
 			staticByNode[m.Node] = append(staticByNode[m.Node], m.ID)
 			if !env.FitsStaticSlot(m) {
 				return nil, fmt.Errorf("%w: static message %q (%d bits) does not fit a %d-macrotick slot at %d bit/s",
 					ErrBadOptions, m.Name, m.Bits, cfg.StaticSlotLen, opts.BitRate)
 			}
 		case signal.Aperiodic:
-			env.DynamicMsgs[m.ID] = m
 			if d := env.FrameDuration(m); d > maxDyn {
 				maxDyn = d
 			}
@@ -95,21 +78,28 @@ func Compile(opts Options) (*Compiled, error) {
 		env.LatestTx = cfg.DeriveLatestTx(maxDyn)
 	}
 	env.compile()
-	return &Compiled{opts: opts, proto: env, staticByNode: staticByNode}, nil
+	nodeIDs := make([]int, len(opts.Cluster.Nodes))
+	for i, n := range opts.Cluster.Nodes {
+		nodeIDs[i] = n.ID
+	}
+	sort.Ints(nodeIDs)
+	return &Compiled{opts: opts, proto: env, nodeIDs: nodeIDs, staticByNode: staticByNode}, nil
 }
 
 // ReplicaOptions is the per-replica half of a run: the seed and the
 // optional injectors and trace sink.  The caller owns the injectors and
 // is expected to Reseed and reuse one pair across replicas so their
 // memoized probability caches survive (fault.Reseeder); nil injectors
-// mean a fault-free channel and a nil Sink discards events.
+// mean a fault-free channel.
 type ReplicaOptions struct {
 	// Seed drives every random stream of the replica: arrivals, CRC
 	// outcomes, clock drift and the scenario timeline.
 	Seed uint64
 	// InjectorA and InjectorB inject transient faults per channel.
 	InjectorA, InjectorB fault.Injector
-	// Sink optionally receives every bus event.
+	// Sink optionally receives every bus event.  Use trace.New() to
+	// retain events, a *trace.CountingSink for zero-allocation counting,
+	// or leave it nil to discard events entirely.
 	Sink trace.Sink
 }
 
@@ -144,35 +134,18 @@ type RunState struct {
 // the shared *Env, never cache them in Init.
 func (c *Compiled) NewState(sched Scheduler) (*RunState, error) {
 	p := c.proto
-	env := &Env{
-		Cfg:         p.Cfg,
-		BitRate:     p.BitRate,
-		Set:         p.Set,
-		ECUs:        make(map[int]*node.ECU, len(p.Cluster.Nodes)),
-		StaticMsgs:  p.StaticMsgs,
-		DynamicMsgs: p.DynamicMsgs,
-		LatestTx:    p.LatestTx,
-		Cluster:     p.Cluster,
-
-		msgByID:       p.msgByID,
-		staticBySlot:  p.staticBySlot,
-		dynamicByID:   p.dynamicByID,
-		durByID:       p.durByID,
-		minislotsByID: p.minislotsByID,
-		wireBitsByID:  p.wireBitsByID,
-		attachedA:     p.attachedA,
-		attachedB:     p.attachedB,
-	}
-	for _, n := range c.opts.Cluster.Nodes {
-		ecu := node.NewECU(n.ID, c.staticByNode[n.ID])
+	env := new(Env)
+	*env = *p // shares the immutable dispatch tables
+	env.ecuOrder = make([]*node.ECU, len(c.nodeIDs))
+	env.ecuByID = make([]*node.ECU, len(p.attachedA))
+	for i, id := range c.nodeIDs {
+		ecu := node.NewECU(id, c.staticByNode[id])
 		ecu.SetCapacities(c.opts.CHIStaticCapacity, c.opts.CHIDynamicCapacity)
-		env.ECUs[n.ID] = ecu
+		env.ecuOrder[i] = ecu
+		if id >= 0 {
+			env.ecuByID[id] = ecu
+		}
 	}
-	env.ecuByID = make([]*node.ECU, len(p.ecuByID))
-	for id := range env.ecuByID {
-		env.ecuByID[id] = env.ECUs[id]
-	}
-	env.OrderedECUs()
 
 	eng := &engine{
 		opts:     c.opts,
@@ -211,7 +184,7 @@ func (c *Compiled) NewState(sched Scheduler) (*RunState, error) {
 //perf:hotpath
 func (st *RunState) Reset(ro ReplicaOptions) error {
 	eng := st.eng
-	eng.opts.Seed = ro.Seed
+	eng.seed = ro.Seed
 
 	eng.sink = ro.Sink
 	if eng.sink == nil {
@@ -219,34 +192,26 @@ func (st *RunState) Reset(ro ReplicaOptions) error {
 	}
 	eng.env.Trace = eng.sink
 
-	injA, injB := ro.InjectorA, ro.InjectorB
-	if injA == nil {
+	eng.injA, eng.injB = ro.InjectorA, ro.InjectorB
+	if eng.injA == nil {
 		st.noneA.Reseed(0)
-		injA = &st.noneA
+		eng.injA = &st.noneA
 	}
-	if injB == nil {
+	if eng.injB == nil {
 		st.noneB.Reseed(0)
-		injB = &st.noneB
+		eng.injB = &st.noneB
 	}
-	eng.opts.InjectorA, eng.opts.InjectorB = injA, injB
 
 	eng.scn = nil
+	eng.watchedNodes, eng.nodeDown = nil, nil
 	if eng.opts.Scenario != nil {
 		if err := st.resetScenario(ro.Seed); err != nil {
 			return err
 		}
 	}
 
-	eng.watchedNodes = eng.watchedNodes[:0]
-	eng.nodeDown = nil
-	if len(eng.opts.NodeFailures) > 0 || eng.scn != nil {
-		eng.initNodeWatch()
-	}
-
-	eng.injA, eng.injB = eng.opts.InjectorA, eng.opts.InjectorB
 	eng.tvA, _ = eng.injA.(fault.TimeVarying)
 	eng.tvB, _ = eng.injB.(fault.TimeVarying)
-	eng.liveness = len(eng.opts.NodeFailures) > 0 || eng.scn != nil
 	eng.crcRNG.Seed(ro.Seed ^ seedCRC)
 	st.resetTiming()
 
@@ -275,11 +240,12 @@ func (st *RunState) Run() (Result, error) {
 var errNotArmed = fmt.Errorf("%w: RunState.Run without a preceding Reset", ErrBadOptions)
 
 // resetScenario recompiles the scripted fault timeline for the replica
-// seed and applies its channel-injector overrides: scenario channels
-// override the replica injectors so the scripted timeline is the single
-// source of channel fault truth.  Scenario replicas allocate here (a
-// fresh Runtime per seed); the alloc-free contract covers scenario-less
-// runs.
+// seed, applies its channel-injector overrides and watches its nodes:
+// scenario channels override the replica injectors so the scripted
+// timeline is the single source of channel fault truth, and the nodes
+// with crash/recovery events get node-down/node-up trace transitions.
+// Scenario replicas allocate here (a fresh Runtime per seed); the
+// alloc-free contract covers scenario-less runs.
 func (st *RunState) resetScenario(seed uint64) error {
 	eng := st.eng
 	rt, err := eng.opts.Scenario.Compile(eng.opts.Config, seed)
@@ -288,10 +254,14 @@ func (st *RunState) resetScenario(seed uint64) error {
 	}
 	eng.scn = rt
 	if inj := rt.Injector(frame.ChannelA); inj != nil {
-		eng.opts.InjectorA = inj
+		eng.injA = inj
 	}
 	if inj := rt.Injector(frame.ChannelB); inj != nil {
-		eng.opts.InjectorB = inj
+		eng.injB = inj
+	}
+	if ids := rt.NodeIDs(); len(ids) > 0 {
+		eng.watchedNodes = ids
+		eng.nodeDown = make(map[int]bool, len(ids))
 	}
 	return nil
 }

@@ -23,15 +23,9 @@ import (
 // Spec is one batch of replicas: a compiled scenario and the seeds to
 // run against it.
 type Spec struct {
-	// Options is the replica-independent simulation configuration.  It
-	// must satisfy sim.Compile's contract: injectors and Sink unset
-	// (they are per-replica, see Replica).
-	Options sim.Options
-	// CompileKey optionally shares one compiled artifact between specs:
-	// specs with equal non-nil keys compile once.  Keys must be
-	// comparable, and equal keys MUST imply equivalent Options — the
-	// key is trusted, not checked.  Nil never shares.
-	CompileKey any
+	// Compiled is the replica-independent simulation artifact
+	// (sim.Compile).  Specs may share one pointer.
+	Compiled *sim.Compiled
 	// NewScheduler builds the spec's scheduler, once per worker state.
 	NewScheduler func() (sim.Scheduler, error)
 	// Seeds lists the replica seeds, one run per entry.  Derive them
@@ -55,25 +49,12 @@ type Spec struct {
 // construction.  On error the lowest-indexed failing replica (in the
 // flattened spec-major order) wins, as with runner.MapCtx.
 func Run(ctx context.Context, parallel int, specs []Spec) ([][]sim.Result, error) {
-	compiled := make([]*sim.Compiled, len(specs))
-	byKey := make(map[any]*sim.Compiled)
 	for i := range specs {
+		if specs[i].Compiled == nil {
+			return nil, fmt.Errorf("batch: spec %d has no Compiled", i)
+		}
 		if specs[i].NewScheduler == nil {
 			return nil, fmt.Errorf("batch: spec %d has no NewScheduler", i)
-		}
-		if key := specs[i].CompileKey; key != nil {
-			if c, ok := byKey[key]; ok {
-				compiled[i] = c
-				continue
-			}
-		}
-		c, err := sim.Compile(specs[i].Options)
-		if err != nil {
-			return nil, fmt.Errorf("batch: spec %d: %w", i, err)
-		}
-		compiled[i] = c
-		if key := specs[i].CompileKey; key != nil {
-			byKey[key] = c
 		}
 	}
 	sizes := make([]int, len(specs))
@@ -81,7 +62,7 @@ func Run(ctx context.Context, parallel int, specs []Spec) ([][]sim.Result, error
 		sizes[i] = len(specs[i].Seeds)
 	}
 	newWorker := func() (*worker, error) {
-		return &worker{specs: specs, compiled: compiled, states: make(map[int]*sim.RunState)}, nil
+		return &worker{specs: specs, states: make(map[int]*sim.RunState)}, nil
 	}
 	flat, err := runner.MapBatchCtx(ctx, parallel, sizes, newWorker,
 		func(w *worker, b, i int) (sim.Result, error) {
@@ -103,7 +84,6 @@ func Run(ctx context.Context, parallel int, specs []Spec) ([][]sim.Result, error
 // spec and the previous replica's injectors for cache-warm reuse.
 type worker struct {
 	specs        []Spec
-	compiled     []*sim.Compiled
 	states       map[int]*sim.RunState
 	prevA, prevB fault.Injector
 }
@@ -117,7 +97,7 @@ func (w *worker) cell(b, i int) (sim.Result, error) {
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("batch: spec %d scheduler: %w", b, err)
 		}
-		st, err = w.compiled[b].NewState(sched)
+		st, err = spec.Compiled.NewState(sched)
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("batch: spec %d state: %w", b, err)
 		}

@@ -62,9 +62,8 @@ func testSet() signal.Set {
 }
 
 // testOptions is the replica-independent configuration shared by both
-// sides of the differential: seed, injectors and sinks stay unset so the
-// same value feeds sim.Compile and (after filling in the per-replica
-// fields) the naive sim.Run.
+// sides of the differential: the same value feeds sim.Compile and the
+// naive sim.Run.
 func testOptions() sim.Options {
 	return sim.Options{
 		Config:   testConfig(),
@@ -157,10 +156,6 @@ func replicaVariants(t *testing.T) []struct {
 		{"timing", func(o *sim.Options) {
 			o.Timing = &sim.TimingOptions{DriftPPM: 1000, JitterMicroticks: 2, Guardians: true}
 		}},
-		{"node-failures", func(o *sim.Options) {
-			o.NodeFailures = map[int]timebase.Macrotick{2: 12_000}
-			o.NodeRecoveries = map[int]timebase.Macrotick{2: 30_000}
-		}},
 		// A second dynamic stream on node 0 whose deadline spans several
 		// periods overflows the one-instance dynamic queue.
 		{"chi-capacity", func(o *sim.Options) {
@@ -221,11 +216,9 @@ func checkReplicaTraces(t *testing.T, opts sim.Options, mk func() (sim.Scheduler
 		}
 		injA, injB := replicaInjectors(t, seed)
 		naiveRec := trace.New()
-		naiveOpts := opts
-		naiveOpts.Seed = seed
-		naiveOpts.InjectorA, naiveOpts.InjectorB = injA, injB
-		naiveOpts.Sink = naiveRec
-		naiveRes, err := sim.Run(naiveOpts, naiveSched)
+		naiveRes, err := sim.Run(opts, sim.ReplicaOptions{
+			Seed: seed, InjectorA: injA, InjectorB: injB, Sink: naiveRec,
+		}, naiveSched)
 		if err != nil {
 			t.Fatalf("seed %d: naive Run: %v", seed, err)
 		}
@@ -259,9 +252,14 @@ func checkReplicaTraces(t *testing.T, opts sim.Options, mk func() (sim.Scheduler
 }
 
 // testSpecs builds one batch.Spec per scheduler family over the given
-// seeds, sharing one compiled artifact via CompileKey and reseeding BER
-// injectors per replica as the fig5 harness does.
-func testSpecs(seeds []uint64) []batch.Spec {
+// seeds, sharing one compiled artifact and reseeding BER injectors per
+// replica as the fig5 harness does.
+func testSpecs(t *testing.T, seeds []uint64) []batch.Spec {
+	t.Helper()
+	compiled, err := sim.Compile(testOptions())
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
 	replica := func(_ int, seed uint64, prevA, prevB fault.Injector) (sim.ReplicaOptions, error) {
 		a, okA := prevA.(*fault.BERInjector)
 		b, okB := prevB.(*fault.BERInjector)
@@ -281,8 +279,7 @@ func testSpecs(seeds []uint64) []batch.Spec {
 	var specs []batch.Spec
 	for _, tc := range testSchedulers() {
 		specs = append(specs, batch.Spec{
-			Options:      testOptions(),
-			CompileKey:   "shared",
+			Compiled:     compiled,
 			NewScheduler: tc.mk,
 			Seeds:        seeds,
 			Replica:      replica,
@@ -300,11 +297,11 @@ func TestBatchRunParallelIdentity(t *testing.T) {
 	for r := range seeds {
 		seeds[r] = runner.CellSeed(11, uint64(r))
 	}
-	serial, err := batch.Run(nil, 1, testSpecs(seeds))
+	serial, err := batch.Run(nil, 1, testSpecs(t, seeds))
 	if err != nil {
 		t.Fatalf("batch.Run(parallel=1): %v", err)
 	}
-	parallel, err := batch.Run(nil, 8, testSpecs(seeds))
+	parallel, err := batch.Run(nil, 8, testSpecs(t, seeds))
 	if err != nil {
 		t.Fatalf("batch.Run(parallel=8): %v", err)
 	}
@@ -324,10 +321,7 @@ func TestBatchRunParallelIdentity(t *testing.T) {
 				t.Fatalf("scheduler: %v", err)
 			}
 			injA, injB := replicaInjectors(t, seed)
-			opts := testOptions()
-			opts.Seed = seed
-			opts.InjectorA, opts.InjectorB = injA, injB
-			want, err := sim.Run(opts, sched)
+			want, err := sim.Run(testOptions(), sim.ReplicaOptions{Seed: seed, InjectorA: injA, InjectorB: injB}, sched)
 			if err != nil {
 				t.Fatalf("%s seed %d: naive Run: %v", tc.name, seed, err)
 			}
@@ -335,5 +329,20 @@ func TestBatchRunParallelIdentity(t *testing.T) {
 				t.Errorf("%s replica %d (seed %d): batch.Run result differs from naive sim.Run", tc.name, r, seed)
 			}
 		}
+	}
+}
+
+// TestBatchRunRejectsIncompleteSpecs checks that a spec without a
+// compiled artifact or a scheduler factory is an error, not a panic.
+func TestBatchRunRejectsIncompleteSpecs(t *testing.T) {
+	specs := testSpecs(t, []uint64{1})
+	specs[1].Compiled = nil
+	if _, err := batch.Run(nil, 1, specs); err == nil {
+		t.Error("spec without Compiled accepted")
+	}
+	specs = testSpecs(t, []uint64{1})
+	specs[2].NewScheduler = nil
+	if _, err := batch.Run(nil, 1, specs); err == nil {
+		t.Error("spec without NewScheduler accepted")
 	}
 }

@@ -7,13 +7,13 @@ import (
 
 	"github.com/flexray-go/coefficient/internal/fspec"
 	"github.com/flexray-go/coefficient/internal/sim"
-	"github.com/flexray-go/coefficient/internal/timebase"
+	"github.com/flexray-go/coefficient/internal/scenario"
 	"github.com/flexray-go/coefficient/internal/trace"
 )
 
 // Regression tests for the map-iteration bugs surfaced by the mapiter
 // analyzer: dropExpired and the per-cycle slot-counter reset used to
-// range over env.ECUs directly, so drop events for deadlines expiring
+// range over the env's node→ECU map directly, so drop events for deadlines expiring
 // at the same instant landed in the trace in Go's randomized map order
 // and two identical runs could produce different trace files.
 
@@ -29,13 +29,11 @@ func runFailedNodesTrace(t *testing.T) *trace.Recorder {
 		Workload: mixedWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 60 * time.Millisecond,
-		Seed:     11,
-		NodeFailures: map[int]timebase.Macrotick{
-			0: 5_000, // owner of s1 (2ms period)
-			2: 5_000, // owner of s5 (1ms period)
-		},
-		Sink: rec,
-	}, fspec.New(fspec.Options{}))
+		Scenario: &scenario.Scenario{Nodes: []scenario.NodeEvent{
+			{Node: 0, FailAt: scenario.Duration(5 * time.Millisecond)}, // owner of s1 (2ms period)
+			{Node: 2, FailAt: scenario.Duration(5 * time.Millisecond)}, // owner of s5 (1ms period)
+		}},
+	}, sim.ReplicaOptions{Seed: 11, Sink: rec}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -77,22 +75,21 @@ func TestOrderedECUs(t *testing.T) {
 		Workload: mixedWorkload(),
 		Mode:     sim.Streaming,
 		Duration: time.Millisecond,
-		Seed:     1,
-	}, &envCapture{inner: fspec.New(fspec.Options{}), out: &captured})
+	}, sim.ReplicaOptions{Seed: 1}, &envCapture{inner: fspec.New(fspec.Options{}), out: &captured})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	ordered := captured.OrderedECUs()
-	if len(ordered) != len(captured.ECUs) {
-		t.Fatalf("OrderedECUs has %d entries, env has %d", len(ordered), len(captured.ECUs))
+	if len(ordered) != len(captured.Cluster.Nodes) {
+		t.Fatalf("OrderedECUs has %d entries, cluster has %d nodes", len(ordered), len(captured.Cluster.Nodes))
 	}
 	for i, ecu := range ordered {
 		if i > 0 && ordered[i-1].ID >= ecu.ID {
 			t.Fatalf("OrderedECUs not in ascending ID order: %d before %d",
 				ordered[i-1].ID, ecu.ID)
 		}
-		if captured.ECUs[ecu.ID] != ecu {
-			t.Fatalf("OrderedECUs[%d] is not env.ECUs[%d]", i, ecu.ID)
+		if captured.ECU(ecu.ID) != ecu {
+			t.Fatalf("OrderedECUs[%d] is not env.ECU(%d)", i, ecu.ID)
 		}
 	}
 	again := captured.OrderedECUs()

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/flexray-go/coefficient/internal/fault"
@@ -41,11 +40,6 @@ type Options struct {
 	Workload signal.Set
 	// BitRate is the bus speed in bits/s (defaults to frame.DefaultBitRate).
 	BitRate int64
-	// InjectorA and InjectorB inject transient faults per channel.  Nil
-	// means fault-free.
-	InjectorA, InjectorB fault.Injector
-	// Seed drives the dynamic arrival processes.
-	Seed uint64
 	// ArrivalJitter perturbs each aperiodic inter-arrival time uniformly
 	// within ±ArrivalJitter·period/2 (0 = strictly periodic arrivals,
 	// must be in [0, 1]).
@@ -55,20 +49,14 @@ type Options struct {
 	// Zero means unlimited.  A full buffer loses the newest instance,
 	// which the metrics count as a drop.
 	CHIStaticCapacity, CHIDynamicCapacity int
-	// NodeFailures injects permanent faults (the paper's "physical
-	// damages [that] cause ... long-term malfunctioning"): the node stops
-	// transmitting at the given time.  Instances it would have sent pile
-	// up and expire, which the metrics count as misses.
-	NodeFailures map[int]timebase.Macrotick
-	// NodeRecoveries lets a failed node rejoin: the node resumes
-	// transmitting at the given time.  Every entry must pair with a
-	// NodeFailures entry at a strictly earlier time.
-	NodeRecoveries map[int]timebase.Macrotick
 	// Scenario optionally scripts a time-varying fault timeline: BER
 	// steps/ramps and burst episodes per channel, channel blackouts, and
-	// node crash/recovery events.  Channels the scenario models get a
-	// deterministic injector derived from Seed, overriding
-	// InjectorA/InjectorB.
+	// node crash/recovery events — the only way to take a node down (the
+	// paper's "physical damages [that] cause ... long-term
+	// malfunctioning"): a down node stops transmitting, and the instances
+	// it would have sent pile up and expire as misses.  Channels the
+	// scenario models get a deterministic injector derived from the
+	// replica seed, overriding the replica's injectors.
 	Scenario *scenario.Scenario
 	// Timing optionally gives every node a local drifting clock with FTM
 	// synchronization, POC degradation states and bus guardians.  Nil
@@ -86,13 +74,6 @@ type Options struct {
 	Warmup time.Duration
 	// BatchInstances is the number of instances per message (Batch).
 	BatchInstances int
-	// MaxCycles caps the simulation length as a safety net (Batch);
-	// 0 means 1<<20 cycles.
-	MaxCycles int64
-	// Sink optionally receives every bus event.  Use trace.New() to
-	// retain events, a *trace.CountingSink for zero-allocation counting,
-	// or leave it nil to discard events entirely.
-	Sink trace.Sink
 }
 
 func (o *Options) validate() error {
@@ -107,24 +88,6 @@ func (o *Options) validate() error {
 	}
 	if o.CHIStaticCapacity < 0 || o.CHIDynamicCapacity < 0 {
 		return fmt.Errorf("%w: negative CHI capacity", ErrBadOptions)
-	}
-	// Iterate the node maps in sorted ID order so which validation error
-	// is reported does not depend on Go's randomized map iteration.
-	for _, id := range sortedNodeIDs(o.NodeFailures) {
-		if at := o.NodeFailures[id]; at < 0 {
-			return fmt.Errorf("%w: node %d failure at %d", ErrBadOptions, id, at)
-		}
-	}
-	for _, id := range sortedNodeIDs(o.NodeRecoveries) {
-		at := o.NodeRecoveries[id]
-		failAt, failed := o.NodeFailures[id]
-		if !failed {
-			return fmt.Errorf("%w: node %d recovery without a failure", ErrBadOptions, id)
-		}
-		if at <= failAt {
-			return fmt.Errorf("%w: node %d recovery at %d not after failure at %d",
-				ErrBadOptions, id, at, failAt)
-		}
 	}
 	if o.Scenario != nil {
 		if err := o.Scenario.Validate(); err != nil {
@@ -166,16 +129,6 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// sortedNodeIDs returns the map's node IDs in ascending order.
-func sortedNodeIDs(m map[int]timebase.Macrotick) []int {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // Result is the outcome of a run.
 type Result struct {
 	// Report holds the metrics summary.
@@ -189,10 +142,8 @@ type Result struct {
 }
 
 // Run executes one simulation: it compiles the options, builds a fresh
-// state for sched and runs the single replica the options describe.
-func Run(opts Options, sched Scheduler) (Result, error) {
-	ro := ReplicaOptions{Seed: opts.Seed, InjectorA: opts.InjectorA, InjectorB: opts.InjectorB, Sink: opts.Sink}
-	opts.InjectorA, opts.InjectorB, opts.Sink = nil, nil, nil
+// state for sched and runs the single replica ro describes.
+func Run(opts Options, ro ReplicaOptions, sched Scheduler) (Result, error) {
 	c, err := Compile(opts)
 	if err != nil {
 		return Result{}, err
@@ -217,15 +168,13 @@ type engine struct {
 	// off), so the hot path records unconditionally with no nil checks.
 	sink trace.Sink
 
+	// seed is the replica seed Reset armed the engine with.
+	seed uint64
 	// injA/injB are the per-channel injectors after any scenario
 	// override, and tvA/tvB their time-varying views — the type
 	// assertion is done once here instead of per transmission.
 	injA, injB fault.Injector
 	tvA, tvB   fault.TimeVarying
-
-	// liveness is false when no node can ever be down (no scripted
-	// failures, no scenario), letting nodeAlive return early.
-	liveness bool
 
 	// rel generates instance releases.
 	rel *releaser
@@ -247,8 +196,9 @@ type engine struct {
 	// crcRNG draws the bit flips of the CRC receive path; consumed only
 	// on corrupted frames, so fault-free runs stay stream-identical.
 	crcRNG *fault.RNG
-	// watchedNodes lists nodes with failure or recovery events, for
-	// node-down/node-up trace transitions; nodeDown is their last state.
+	// watchedNodes lists the scenario's nodes with crash/recovery
+	// events, for node-down/node-up trace transitions; nodeDown is their
+	// last state.
 	watchedNodes []int
 	nodeDown     map[int]bool
 }
@@ -274,7 +224,7 @@ func (e *engine) run() (Result, error) {
 			endCycle = 1
 		}
 	} else {
-		endCycle = e.opts.MaxCycles
+		endCycle = maxBatchCycles
 		e.total = e.rel.enqueueBatch()
 	}
 
@@ -297,14 +247,18 @@ func (e *engine) run() (Result, error) {
 		}
 	}
 	if e.opts.Mode == Batch && e.done < e.total {
-		return Result{}, fmt.Errorf("%w: %d of %d instances after MaxCycles=%d",
-			ErrStalled, e.done, e.total, e.opts.MaxCycles)
+		return Result{}, fmt.Errorf("%w: %d of %d instances at the %d-cycle batch cap",
+			ErrStalled, e.done, e.total, maxBatchCycles)
 	}
 	return e.result(endCycle), nil
 }
 
-// stallCycles is the no-progress limit for batch runs.
-const stallCycles = 20000
+// stallCycles is the no-progress limit for batch runs, and
+// maxBatchCycles caps a batch run's length as a safety net.
+const (
+	stallCycles    = 20000
+	maxBatchCycles = 1 << 20
+)
 
 // runCycle simulates one communication cycle — the steady-state loop
 // body the allocation-regression tests measure.
@@ -349,8 +303,8 @@ func (e *engine) result(cycles int64) Result {
 	return Result{
 		Report:    e.col.Report(),
 		Cycles:    cycles,
-		FaultsA:   e.opts.InjectorA.Stats(),
-		FaultsB:   e.opts.InjectorB.Stats(),
+		FaultsA:   e.injA.Stats(),
+		FaultsB:   e.injB.Stats(),
 		Scheduler: e.sched.Name(),
 	}
 }
@@ -477,47 +431,12 @@ func (e *engine) checkDynamicTx(tx *Transmission, ch frame.Channel, need, remain
 	return nil
 }
 
-// nodeAlive reports whether the node is transmitting at t: it has not
-// failed, or it failed and has already recovered, and no scripted
+// nodeAlive reports whether the node is transmitting at t: no scripted
 // scenario interval holds it down.
 //
 //perf:hotpath
 func (e *engine) nodeAlive(nodeID int, t timebase.Macrotick) bool {
-	if !e.liveness {
-		return true
-	}
-	if at, failed := e.opts.NodeFailures[nodeID]; failed && t >= at {
-		rec, recovers := e.opts.NodeRecoveries[nodeID]
-		if !recovers || t < rec {
-			return false
-		}
-	}
-	if e.scn != nil && e.scn.NodeDown(nodeID, t) {
-		return false
-	}
-	return true
-}
-
-// initNodeWatch collects the nodes whose liveness can change over the run
-// so cycle starts can emit node-down/node-up transitions into the trace.
-func (e *engine) initNodeWatch() {
-	seen := make(map[int]bool)
-	for id := range e.opts.NodeFailures {
-		seen[id] = true
-	}
-	if e.scn != nil {
-		for _, id := range e.scn.NodeIDs() {
-			seen[id] = true
-		}
-	}
-	if len(seen) == 0 {
-		return
-	}
-	e.nodeDown = make(map[int]bool, len(seen))
-	for id := range seen {
-		e.watchedNodes = append(e.watchedNodes, id)
-	}
-	sort.Ints(e.watchedNodes)
+	return e.scn == nil || !e.scn.NodeDown(nodeID, t)
 }
 
 // watchNodes records liveness transitions of watched nodes at `now`.

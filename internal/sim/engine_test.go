@@ -10,6 +10,7 @@ import (
 	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/metrics"
 	"github.com/flexray-go/coefficient/internal/node"
+	"github.com/flexray-go/coefficient/internal/scenario"
 	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/sim"
 	"github.com/flexray-go/coefficient/internal/timebase"
@@ -67,9 +68,7 @@ func TestStreamingFaultFreeDeliversEverything(t *testing.T) {
 		Workload: mixedWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 100 * time.Millisecond,
-		Seed:     1,
-		Sink:     rec,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 1, Sink: rec}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -105,8 +104,7 @@ func TestFSPECDuplicatesOnChannelB(t *testing.T) {
 		Workload: staticOnlyWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
-		Seed:     1,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 1}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -129,14 +127,11 @@ func TestFaultInjectionCausesRetransmissions(t *testing.T) {
 		t.Fatalf("NewBERInjector: %v", err)
 	}
 	res, err := sim.Run(sim.Options{
-		Config:    testConfig(),
-		Workload:  staticOnlyWorkload(),
-		Mode:      sim.Streaming,
-		Duration:  200 * time.Millisecond,
-		Seed:      1,
-		InjectorA: injA,
-		InjectorB: injB,
-	}, fspec.New(fspec.Options{}))
+		Config:   testConfig(),
+		Workload: staticOnlyWorkload(),
+		Mode:     sim.Streaming,
+		Duration: 200 * time.Millisecond,
+	}, sim.ReplicaOptions{Seed: 1, InjectorA: injA, InjectorB: injB}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -161,8 +156,7 @@ func TestBatchModeMakespan(t *testing.T) {
 		Workload:       staticOnlyWorkload(),
 		Mode:           sim.Batch,
 		BatchInstances: 20,
-		Seed:           1,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 1}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -188,13 +182,11 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("NewBERInjector: %v", err)
 		}
 		res, err := sim.Run(sim.Options{
-			Config:    testConfig(),
-			Workload:  mixedWorkload(),
-			Mode:      sim.Streaming,
-			Duration:  100 * time.Millisecond,
-			Seed:      5,
-			InjectorA: injA,
-		}, fspec.New(fspec.Options{}))
+			Config:   testConfig(),
+			Workload: mixedWorkload(),
+			Mode:     sim.Streaming,
+			Duration: 100 * time.Millisecond,
+		}, sim.ReplicaOptions{Seed: 5, InjectorA: injA}, fspec.New(fspec.Options{}))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -230,18 +222,26 @@ func TestOptionValidation(t *testing.T) {
 			o := base
 			o.Workload.Messages = append([]signal.Message(nil), base.Workload.Messages...)
 			tt.mutate(&o)
-			if _, err := sim.Run(o, fspec.New(fspec.Options{})); !errors.Is(err, sim.ErrBadOptions) {
+			if _, err := sim.Run(o, sim.ReplicaOptions{}, fspec.New(fspec.Options{})); !errors.Is(err, sim.ErrBadOptions) {
 				t.Fatalf("Run = %v, want ErrBadOptions", err)
 			}
 		})
 	}
 }
 
-// TestValidationErrorDeterministic locks the satellite bugfix: with
-// several invalid entries across the node maps, the reported error must
-// be the lowest node ID's every time, not whichever entry Go's
-// randomized map iteration visits first.
+// TestValidationErrorDeterministic pins the order in which the
+// scenario's node validation walks its per-node outage map: with several
+// invalid nodes, the reported error must be the lowest node ID's every
+// time, not whichever entry Go's randomized map iteration visits first.
 func TestValidationErrorDeterministic(t *testing.T) {
+	// Overlapping outages on nodes 9, 2 and 5: the error must name
+	// node 2, the smallest offender.
+	var events []scenario.NodeEvent
+	for _, id := range []int{9, 2, 5} {
+		events = append(events,
+			scenario.NodeEvent{Node: id, FailAt: scenario.Duration(time.Millisecond), RecoverAt: scenario.Duration(3 * time.Millisecond)},
+			scenario.NodeEvent{Node: id, FailAt: scenario.Duration(2 * time.Millisecond), RecoverAt: scenario.Duration(4 * time.Millisecond)})
+	}
 	want := ""
 	for i := 0; i < 50; i++ {
 		o := sim.Options{
@@ -249,13 +249,9 @@ func TestValidationErrorDeterministic(t *testing.T) {
 			Workload: staticOnlyWorkload(),
 			Mode:     sim.Streaming,
 			Duration: time.Millisecond,
-			// Three recoveries without failures: the error must name
-			// node 2, the smallest offender.
-			NodeRecoveries: map[int]timebase.Macrotick{
-				9: 100, 2: 100, 5: 100,
-			},
+			Scenario: &scenario.Scenario{Nodes: events},
 		}
-		_, err := sim.Run(o, fspec.New(fspec.Options{}))
+		_, err := sim.Run(o, sim.ReplicaOptions{}, fspec.New(fspec.Options{}))
 		if !errors.Is(err, sim.ErrBadOptions) {
 			t.Fatalf("Run = %v, want ErrBadOptions", err)
 		}
@@ -281,7 +277,7 @@ func TestDynamicFrameIDInsideStaticRangeRejected(t *testing.T) {
 		Workload: set,
 		Mode:     sim.Streaming,
 		Duration: time.Millisecond,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{}, fspec.New(fspec.Options{}))
 	if !errors.Is(err, sim.ErrBadOptions) {
 		t.Fatalf("Run = %v, want ErrBadOptions", err)
 	}
@@ -295,7 +291,7 @@ func TestOversizedStaticMessageRejected(t *testing.T) {
 		Workload: set,
 		Mode:     sim.Streaming,
 		Duration: time.Millisecond,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{}, fspec.New(fspec.Options{}))
 	if !errors.Is(err, sim.ErrBadOptions) {
 		t.Fatalf("Run = %v, want ErrBadOptions", err)
 	}
@@ -307,8 +303,7 @@ func TestDynamicLatencyBoundedFaultFree(t *testing.T) {
 		Workload: mixedWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 100 * time.Millisecond,
-		Seed:     9,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 9}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -338,9 +333,7 @@ func TestPartialTopologyNoInvalidTransmissions(t *testing.T) {
 		Workload: mixedWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
-		Seed:     1,
-		Sink:     rec,
-	}, fspec.New(fspec.Options{Copies: 2}))
+	}, sim.ReplicaOptions{Seed: 1, Sink: rec}, fspec.New(fspec.Options{Copies: 2}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -372,10 +365,8 @@ func TestArrivalJitter(t *testing.T) {
 			Workload:      mixedWorkload(),
 			Mode:          sim.Streaming,
 			Duration:      200 * time.Millisecond,
-			Seed:          4,
 			ArrivalJitter: jitter,
-			Sink:          rec,
-		}, fspec.New(fspec.Options{}))
+		}, sim.ReplicaOptions{Seed: 4, Sink: rec}, fspec.New(fspec.Options{}))
 		if err != nil {
 			t.Fatalf("Run(jitter=%g): %v", jitter, err)
 		}
@@ -406,7 +397,7 @@ func TestArrivalJitterValidation(t *testing.T) {
 		Mode:          sim.Streaming,
 		Duration:      time.Millisecond,
 		ArrivalJitter: 1.5,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{}, fspec.New(fspec.Options{}))
 	if !errors.Is(err, sim.ErrBadOptions) {
 		t.Fatalf("Run(jitter=1.5) = %v, want ErrBadOptions", err)
 	}
@@ -419,11 +410,8 @@ func TestPermanentNodeFailure(t *testing.T) {
 		Workload: mixedWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 100 * time.Millisecond,
-		Seed:     1,
-		NodeFailures: map[int]timebase.Macrotick{
-			2: 20_000,
-		},
-	}, fspec.New(fspec.Options{}))
+		Scenario: nodeOutage(2, 20*time.Millisecond, 0),
+	}, sim.ReplicaOptions{Seed: 1}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -443,19 +431,6 @@ func TestPermanentNodeFailure(t *testing.T) {
 	}
 }
 
-func TestNodeFailureValidation(t *testing.T) {
-	_, err := sim.Run(sim.Options{
-		Config:       testConfig(),
-		Workload:     mixedWorkload(),
-		Mode:         sim.Streaming,
-		Duration:     time.Millisecond,
-		NodeFailures: map[int]timebase.Macrotick{1: -5},
-	}, fspec.New(fspec.Options{}))
-	if !errors.Is(err, sim.ErrBadOptions) {
-		t.Fatalf("negative failure time accepted: %v", err)
-	}
-}
-
 func TestSymbolWindowStaysSilent(t *testing.T) {
 	cfg := testConfig()
 	cfg.SymbolWindowLen = 100
@@ -465,9 +440,7 @@ func TestSymbolWindowStaysSilent(t *testing.T) {
 		Workload: mixedWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
-		Seed:     1,
-		Sink:     rec,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 1, Sink: rec}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -484,8 +457,7 @@ func TestGoodputReported(t *testing.T) {
 		Workload: staticOnlyWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 100 * time.Millisecond,
-		Seed:     1,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 1}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -505,8 +477,7 @@ func TestWarmupExcludesEarlyMetrics(t *testing.T) {
 			Mode:     sim.Streaming,
 			Duration: 100 * time.Millisecond,
 			Warmup:   warmup,
-			Seed:     1,
-		}, fspec.New(fspec.Options{}))
+		}, sim.ReplicaOptions{Seed: 1}, fspec.New(fspec.Options{}))
 		if err != nil {
 			t.Fatalf("Run(warmup=%v): %v", warmup, err)
 		}
@@ -535,7 +506,7 @@ func TestWarmupValidation(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: time.Millisecond,
 		Warmup:   time.Millisecond,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{}, fspec.New(fspec.Options{}))
 	if !errors.Is(err, sim.ErrBadOptions) {
 		t.Fatalf("warmup == duration accepted: %v", err)
 	}
@@ -553,9 +524,8 @@ func TestCHICapacityOverflow(t *testing.T) {
 		Workload:           set,
 		Mode:               sim.Streaming,
 		Duration:           100 * time.Millisecond,
-		Seed:               1,
 		CHIDynamicCapacity: 1,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 1}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -569,8 +539,7 @@ func TestCHICapacityOverflow(t *testing.T) {
 		Workload: set,
 		Mode:     sim.Streaming,
 		Duration: 100 * time.Millisecond,
-		Seed:     1,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 1}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -587,7 +556,7 @@ func TestCHICapacityValidation(t *testing.T) {
 		Mode:              sim.Streaming,
 		Duration:          time.Millisecond,
 		CHIStaticCapacity: -1,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{}, fspec.New(fspec.Options{}))
 	if !errors.Is(err, sim.ErrBadOptions) {
 		t.Fatalf("negative capacity accepted: %v", err)
 	}
@@ -605,11 +574,11 @@ func (b *brokenScheduler) ResetReplica() error                  { return nil }
 func (b *brokenScheduler) CycleStart(int64, timebase.Macrotick) {}
 
 func (b *brokenScheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now timebase.Macrotick) *sim.Transmission {
-	m, ok := b.env.StaticMsgs[slot]
-	if !ok {
+	m := b.env.StaticMsg(slot)
+	if m == nil {
 		return nil
 	}
-	in := b.env.ECUs[m.Node].PeekStatic(slot, now)
+	in := b.env.ECU(m.Node).PeekStatic(slot, now)
 	if in == nil {
 		return nil
 	}
@@ -625,11 +594,11 @@ func (b *brokenScheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now ti
 }
 
 func (b *brokenScheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _, remaining int, now timebase.Macrotick) *sim.Transmission {
-	m, ok := b.env.DynamicMsgs[slotCounter]
-	if !ok {
+	m := b.env.DynamicMsg(slotCounter)
+	if m == nil {
 		return nil
 	}
-	in := b.env.ECUs[m.Node].PeekDynamicFor(slotCounter, now)
+	in := b.env.ECU(m.Node).PeekDynamicFor(slotCounter, now)
 	if in == nil {
 		return nil
 	}
@@ -651,9 +620,7 @@ func TestEngineRejectsProtocolViolations(t *testing.T) {
 			Workload: mixedWorkload(),
 			Mode:     sim.Streaming,
 			Duration: 10 * time.Millisecond,
-			Seed:     1,
-			Sink:     rec,
-		}, &brokenScheduler{mode: mode})
+		}, sim.ReplicaOptions{Seed: 1, Sink: rec}, &brokenScheduler{mode: mode})
 		if err != nil {
 			t.Fatalf("mode %d: Run: %v", mode, err)
 		}
@@ -679,8 +646,7 @@ func TestOwnerOfStaticSlot(t *testing.T) {
 		Workload: mixedWorkload(),
 		Mode:     sim.Streaming,
 		Duration: time.Millisecond,
-		Seed:     1,
-	}, &envCapture{inner: sched, out: &captured})
+	}, sim.ReplicaOptions{Seed: 1}, &envCapture{inner: sched, out: &captured})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -732,9 +698,7 @@ func TestExplicitLatestTxHonored(t *testing.T) {
 		Workload: mixedWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
-		Seed:     1,
-		Sink:     rec,
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 1, Sink: rec}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -754,9 +718,8 @@ func TestJitteredRunsAreDeterministic(t *testing.T) {
 			Workload:      mixedWorkload(),
 			Mode:          sim.Streaming,
 			Duration:      100 * time.Millisecond,
-			Seed:          8,
 			ArrivalJitter: 0.4,
-		}, fspec.New(fspec.Options{}))
+		}, sim.ReplicaOptions{Seed: 8}, fspec.New(fspec.Options{}))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}

@@ -9,7 +9,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/flexray-go/coefficient/internal/adapt"
 	"github.com/flexray-go/coefficient/internal/frame"
@@ -34,9 +33,10 @@ var (
 )
 
 // Env is the read-mostly world handed to a Scheduler at Init: cluster
-// timing, the workload, the ECUs with their CHI buffers, and frame timing
-// helpers.  Schedulers manipulate the ECU queues directly (pop, requeue) —
-// the engine owns time, the wire, fault injection and bookkeeping.
+// timing, the workload, the ECUs with their CHI buffers (ECU,
+// OrderedECUs), and frame timing helpers.  Schedulers manipulate the ECU
+// queues directly (pop, requeue) — the engine owns time, the wire, fault
+// injection and bookkeeping.
 type Env struct {
 	// Cfg is the cluster timing configuration.
 	Cfg timebase.Config
@@ -44,12 +44,6 @@ type Env struct {
 	BitRate int64
 	// Set is the workload.
 	Set signal.Set
-	// ECUs maps node ID to its ECU model.
-	ECUs map[int]*node.ECU
-	// StaticMsgs maps static frame IDs to messages.
-	StaticMsgs map[int]*signal.Message
-	// DynamicMsgs maps dynamic frame IDs to messages.
-	DynamicMsgs map[int]*signal.Message
 	// LatestTx is the resolved pLatestTx for the dynamic segment.
 	LatestTx int
 	// Cluster is the validated topology; schedulers consult it before
@@ -70,20 +64,20 @@ type Env struct {
 	// nil-safe.
 	Sync *adapt.SyncMonitor
 
-	// ecuOrder caches the ECUs in ascending node-ID order (OrderedECUs).
+	// ecuOrder holds the ECUs in ascending node-ID order (OrderedECUs)
+	// and ecuByID indexes them by node ID; NewState builds both.
 	ecuOrder []*node.ECU
+	ecuByID  []*node.ECU
 
-	// Compiled dispatch tables, built once by the engine (compile) so the
-	// per-slot walk indexes slices instead of hashing map keys.  All are
-	// nil on hand-built Envs, where the accessors fall back to the maps.
-	// msgByID guards the per-message caches: a fast path is taken only
-	// when the *signal.Message pointer matches the one the table was
-	// compiled from, so foreign Message values can never read stale
-	// timing.
+	// Compiled dispatch tables, built once by Compile so the per-slot
+	// walk indexes slices instead of hashing map keys.  All are nil on
+	// hand-built Envs, whose lookups find nothing.  msgByID guards the
+	// per-message caches: a fast path is taken only when the
+	// *signal.Message pointer matches the one the table was compiled
+	// from, so foreign Message values fall back to computing the timing.
 	msgByID       []*signal.Message
 	staticBySlot  []*signal.Message
 	dynamicByID   []*signal.Message
-	ecuByID       []*node.ECU
 	durByID       []timebase.Macrotick
 	minislotsByID []int
 	wireBitsByID  []int
@@ -99,10 +93,9 @@ func (e *Env) Record(ev trace.Event) {
 	}
 }
 
-// compile precomputes the slot→message, node→ECU and per-message timing
-// tables the cycle loop indexes instead of doing map lookups per slot.
-// Called once by the engine after the maps are fully populated; the
-// public maps stay authoritative for hand-built environments and tests.
+// compile precomputes the slot→message, channel attachment and
+// per-message timing tables the cycle loop indexes instead of doing map
+// lookups per slot.  Called once by Compile.
 func (e *Env) compile() {
 	maxID, maxNode := e.Cfg.StaticSlots, 0
 	for i := range e.Set.Messages {
@@ -121,9 +114,6 @@ func (e *Env) compile() {
 	e.durByID = make([]timebase.Macrotick, maxID+1)
 	e.minislotsByID = make([]int, maxID+1)
 	e.wireBitsByID = make([]int, maxID+1)
-	// The engine populated StaticMsgs/DynamicMsgs with pointers into
-	// Set.Messages, so walking the slice visits the same message values
-	// the maps hold — in deterministic order.
 	for i := range e.Set.Messages {
 		m := &e.Set.Messages[i]
 		switch m.Kind {
@@ -138,20 +128,15 @@ func (e *Env) compile() {
 		}
 		e.compileMsg(m)
 	}
-	e.ecuByID = make([]*node.ECU, maxNode+1)
 	e.attachedA = make([]bool, maxNode+1)
 	e.attachedB = make([]bool, maxNode+1)
 	for _, n := range e.Cluster.Nodes {
-		if n.ID < 0 || n.ID >= len(e.ecuByID) {
+		if n.ID < 0 {
 			continue
 		}
-		e.ecuByID[n.ID] = e.ECUs[n.ID]
 		e.attachedA[n.ID] = n.Attached(frame.ChannelA)
 		e.attachedB[n.ID] = n.Attached(frame.ChannelB)
 	}
-	// Precompute the ECU iteration order too, so the first cycle does
-	// not pay the lazy sort.
-	e.OrderedECUs()
 }
 
 func (e *Env) compileMsg(m *signal.Message) {
@@ -173,35 +158,26 @@ func (e *Env) compiledFor(m *signal.Message) bool {
 
 // StaticMsg returns the message owning static slot `slot`, or nil.
 func (e *Env) StaticMsg(slot int) *signal.Message {
-	if e.staticBySlot != nil {
-		if slot >= 0 && slot < len(e.staticBySlot) {
-			return e.staticBySlot[slot]
-		}
-		return nil
+	if slot >= 0 && slot < len(e.staticBySlot) {
+		return e.staticBySlot[slot]
 	}
-	return e.StaticMsgs[slot]
+	return nil
 }
 
 // DynamicMsg returns the dynamic message with frame ID `id`, or nil.
 func (e *Env) DynamicMsg(id int) *signal.Message {
-	if e.dynamicByID != nil {
-		if id >= 0 && id < len(e.dynamicByID) {
-			return e.dynamicByID[id]
-		}
-		return nil
+	if id >= 0 && id < len(e.dynamicByID) {
+		return e.dynamicByID[id]
 	}
-	return e.DynamicMsgs[id]
+	return nil
 }
 
 // ECU returns the ECU of the node, or nil.
 func (e *Env) ECU(nodeID int) *node.ECU {
-	if e.ecuByID != nil {
-		if nodeID >= 0 && nodeID < len(e.ecuByID) {
-			return e.ecuByID[nodeID]
-		}
-		return nil
+	if nodeID >= 0 && nodeID < len(e.ecuByID) {
+		return e.ecuByID[nodeID]
 	}
-	return e.ECUs[nodeID]
+	return nil
 }
 
 // WireBits returns the wire image size of the message's frame in bits.
@@ -212,40 +188,25 @@ func (e *Env) WireBits(m *signal.Message) int {
 	return frame.WireBits(m.Bytes())
 }
 
-// OrderedECUs returns the ECUs in ascending node-ID order.  Ranging over
-// the ECUs map directly makes behavior depend on Go's randomized map
-// iteration order, which the determinism contract forbids (DESIGN.md
-// §8); every per-ECU sweep in the engine and the schedulers goes through
-// this accessor instead.  The order is computed once — the ECU set is
-// fixed after the environment is built.
+// OrderedECUs returns the ECUs in ascending node-ID order, the walk
+// order of every per-ECU sweep in the engine and the schedulers (the
+// determinism contract, DESIGN.md §8).
 func (e *Env) OrderedECUs() []*node.ECU {
-	if e.ecuOrder == nil && len(e.ECUs) > 0 {
-		ids := make([]int, 0, len(e.ECUs))
-		for id := range e.ECUs {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		e.ecuOrder = make([]*node.ECU, 0, len(ids))
-		for _, id := range ids {
-			e.ecuOrder = append(e.ecuOrder, e.ECUs[id])
-		}
-	}
 	return e.ecuOrder
 }
 
 // Attached reports whether the node is attached to the channel.
 func (e *Env) Attached(nodeID int, ch frame.Channel) bool {
-	if e.attachedA != nil && nodeID >= 0 && nodeID < len(e.attachedA) {
-		switch ch {
-		case frame.ChannelA:
-			return e.attachedA[nodeID]
-		case frame.ChannelB:
-			return e.attachedB[nodeID]
-		}
+	if nodeID < 0 || nodeID >= len(e.attachedA) {
 		return false
 	}
-	n, ok := e.Cluster.Node(nodeID)
-	return ok && n.Attached(ch)
+	switch ch {
+	case frame.ChannelA:
+		return e.attachedA[nodeID]
+	case frame.ChannelB:
+		return e.attachedB[nodeID]
+	}
+	return false
 }
 
 // FrameDuration returns the wire time of a message's frame in macroticks.

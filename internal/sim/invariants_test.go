@@ -67,14 +67,11 @@ func TestWireInvariants(t *testing.T) {
 			t.Fatalf("NewBERInjector: %v", err)
 		}
 		res, err := sim.Run(sim.Options{
-			Config:    cfg,
-			Workload:  set,
-			Mode:      sim.Streaming,
-			Duration:  100 * time.Millisecond,
-			Seed:      5,
-			InjectorA: injA,
-			Sink:      rec,
-		}, sched)
+			Config:   cfg,
+			Workload: set,
+			Mode:     sim.Streaming,
+			Duration: 100 * time.Millisecond,
+		}, sim.ReplicaOptions{Seed: 5, InjectorA: injA, Sink: rec}, sched)
 		if err != nil {
 			t.Fatalf("Run(%s): %v", sched.Name(), err)
 		}
@@ -199,14 +196,11 @@ func TestWireInvariantsRandomWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err = sim.Run(sim.Options{
-				Config:    cfg,
-				Workload:  set,
-				Mode:      sim.Streaming,
-				Duration:  30 * time.Millisecond,
-				Seed:      uint64(trial),
-				InjectorA: injA,
-				Sink:      rec,
-			}, sched)
+				Config:   cfg,
+				Workload: set,
+				Mode:     sim.Streaming,
+				Duration: 30 * time.Millisecond,
+			}, sim.ReplicaOptions{Seed: uint64(trial), InjectorA: injA, Sink: rec}, sched)
 			if err != nil {
 				t.Fatalf("trial %d (%s): %v", trial, sched.Name(), err)
 			}

@@ -91,10 +91,10 @@ type stream struct {
 // moves every sporadic release phase and breaks trace goldens.
 const relSeedSalt uint64 = 0xF1E2D3C4B5A69788
 
+// newReleaser builds one stream per message; reset draws the sporadic
+// phases for each replica seed.
 func newReleaser(opts Options, env *Env) *releaser {
-	r := &releaser{opts: opts, env: env}
-	rng := fault.NewRNG(opts.Seed ^ relSeedSalt)
-	r.rng = rng.Fork()
+	r := &releaser{opts: opts, env: env, rng: fault.NewRNG(0)}
 	cfg := opts.Config
 	for i := range opts.Workload.Messages {
 		m := &opts.Workload.Messages[i]
@@ -113,25 +113,20 @@ func newReleaser(opts Options, env *Env) *releaser {
 			if s.period <= 0 {
 				s.period = cfg.FromDuration(m.Deadline)
 			}
-			s.offset = timebase.Macrotick(rng.Intn(int(s.period)))
 			s.jittered = opts.ArrivalJitter > 0
 		}
-		s.next = s.offset
 		r.streams = append(r.streams, s)
 	}
 	return r
 }
 
-// reset rewinds the releaser to the state newReleaser would build for
-// the given seed, without reallocating streams or arena blocks.  The
-// draw protocol replays construction exactly: the parent RNG's first
-// Uint64 seeds the jitter child (Fork), then sporadic phases are drawn
-// from the parent in message order — so the release schedule is
-// byte-identical to a fresh releaser's.
+// reset arms the releaser for the given seed without reallocating
+// streams or arena blocks.  The draw protocol is frozen: the parent
+// RNG's first Uint64 seeds the jitter child, then sporadic phases are
+// drawn from the parent in message order.
 //
 //perf:hotpath
 func (r *releaser) reset(seed uint64) {
-	r.opts.Seed = seed
 	var parent fault.RNG
 	parent.Seed(seed ^ relSeedSalt)
 	r.rng.Seed(parent.Uint64())

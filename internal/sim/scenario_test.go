@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 	"time"
 
@@ -10,11 +9,18 @@ import (
 	"github.com/flexray-go/coefficient/internal/metrics"
 	"github.com/flexray-go/coefficient/internal/scenario"
 	"github.com/flexray-go/coefficient/internal/sim"
-	"github.com/flexray-go/coefficient/internal/timebase"
 	"github.com/flexray-go/coefficient/internal/trace"
 
 	"github.com/flexray-go/coefficient/internal/fspec"
 )
+
+// nodeOutage scripts one node outage over [failAt, recoverAt); a zero
+// recoverAt makes it permanent.
+func nodeOutage(node int, failAt, recoverAt time.Duration) *scenario.Scenario {
+	return &scenario.Scenario{Nodes: []scenario.NodeEvent{{
+		Node: node, FailAt: scenario.Duration(failAt), RecoverAt: scenario.Duration(recoverAt),
+	}}}
+}
 
 // Node 2 (owner of s5, the 1ms-period message) dies at 20ms and rejoins at
 // 50ms: only the outage's ~30 instances may expire; everything released
@@ -25,14 +31,8 @@ func TestNodeFailureRecovery(t *testing.T) {
 		Workload: mixedWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 100 * time.Millisecond,
-		Seed:     1,
-		NodeFailures: map[int]timebase.Macrotick{
-			2: 20_000,
-		},
-		NodeRecoveries: map[int]timebase.Macrotick{
-			2: 50_000,
-		},
-	}, fspec.New(fspec.Options{}))
+		Scenario: nodeOutage(2, 20*time.Millisecond, 50*time.Millisecond),
+	}, sim.ReplicaOptions{Seed: 1}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -53,33 +53,9 @@ func TestNodeFailureRecovery(t *testing.T) {
 	}
 }
 
-func TestNodeRecoveryValidation(t *testing.T) {
-	base := func() sim.Options {
-		return sim.Options{
-			Config:   testConfig(),
-			Workload: mixedWorkload(),
-			Mode:     sim.Streaming,
-			Duration: time.Millisecond,
-		}
-	}
-
-	opts := base()
-	opts.NodeRecoveries = map[int]timebase.Macrotick{1: 5_000}
-	if _, err := sim.Run(opts, fspec.New(fspec.Options{})); !errors.Is(err, sim.ErrBadOptions) {
-		t.Errorf("recovery without a failure accepted: %v", err)
-	}
-
-	opts = base()
-	opts.NodeFailures = map[int]timebase.Macrotick{1: 5_000}
-	opts.NodeRecoveries = map[int]timebase.Macrotick{1: 5_000}
-	if _, err := sim.Run(opts, fspec.New(fspec.Options{})); !errors.Is(err, sim.ErrBadOptions) {
-		t.Errorf("recovery not after failure accepted: %v", err)
-	}
-}
-
 // engineScenario scripts a channel-A blackout plus a node-2 outage with
-// recovery, mirroring the NodeFailures/NodeRecoveries test above but driven
-// entirely through the scenario DSL.
+// recovery, the outage of TestNodeFailureRecovery written in the scenario
+// DSL.
 func engineScenario(t *testing.T) *scenario.Scenario {
 	t.Helper()
 	scn, err := scenario.Parse([]byte(`{
@@ -107,16 +83,14 @@ func TestScenarioDrivenRun(t *testing.T) {
 		Workload: mixedWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 100 * time.Millisecond,
-		Seed:     1,
-		Sink:     rec,
 		Scenario: engineScenario(t),
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 1, Sink: rec}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	r := res.Report
 
-	// The scripted node outage behaves exactly like the option-based one.
+	// The scripted node outage drops what TestNodeFailureRecovery's does.
 	if r.Dropped[metrics.Static] < 20 || r.Dropped[metrics.Static] > 40 {
 		t.Errorf("static drops = %d, want ≈30 from the scripted outage",
 			r.Dropped[metrics.Static])
@@ -169,10 +143,8 @@ func TestScenarioTraceByteIdentical(t *testing.T) {
 			Workload: mixedWorkload(),
 			Mode:     sim.Streaming,
 			Duration: 100 * time.Millisecond,
-			Seed:     42,
-			Sink:     rec,
 			Scenario: degradedScenario(t),
-		}, fspec.New(fspec.Options{}))
+		}, sim.ReplicaOptions{Seed: 42, Sink: rec}, fspec.New(fspec.Options{}))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}

@@ -76,14 +76,11 @@ func runWithSink(t *testing.T, cfg timebase.Config, set signal.Set,
 		t.Fatal(err)
 	}
 	res, err := sim.Run(sim.Options{
-		Config:    cfg,
-		Workload:  set,
-		Mode:      sim.Streaming,
-		Duration:  30 * time.Millisecond,
-		Seed:      seed,
-		InjectorA: injA,
-		Sink:      sink,
-	}, mk())
+		Config:   cfg,
+		Workload: set,
+		Mode:     sim.Streaming,
+		Duration: 30 * time.Millisecond,
+	}, sim.ReplicaOptions{Seed: seed, InjectorA: injA, Sink: sink}, mk())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -152,9 +149,7 @@ func TestSyncSinkSharedAcrossParallelRuns(t *testing.T) {
 			Workload: set,
 			Mode:     sim.Streaming,
 			Duration: 20 * time.Millisecond,
-			Seed:     uint64(i + 1),
-			Sink:     sink,
-		}, fspec.New(fspec.Options{}))
+		}, sim.ReplicaOptions{Seed: uint64(i + 1), Sink: sink}, fspec.New(fspec.Options{}))
 		return err
 	}
 

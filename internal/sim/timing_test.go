@@ -24,13 +24,12 @@ func TestTimingSyncHoldsPrecision(t *testing.T) {
 		Workload: staticOnlyWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 500 * time.Millisecond,
-		Seed:     3,
 		Timing: &sim.TimingOptions{
 			DriftPPM:         100,
 			JitterMicroticks: 2,
 			SyncEnabled:      true,
 		},
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 3}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -64,12 +63,11 @@ func TestTimingUnsyncedDegrades(t *testing.T) {
 		Workload: staticOnlyWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 500 * time.Millisecond,
-		Seed:     3,
 		Timing: &sim.TimingOptions{
 			DriftPPM:    5000,
 			SyncEnabled: false,
 		},
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 3}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -117,14 +115,12 @@ func TestBabbleGuardianContainment(t *testing.T) {
 			Workload: staticOnlyWorkload(),
 			Mode:     sim.Streaming,
 			Duration: 100 * time.Millisecond,
-			Seed:     9,
-			Sink:     rec,
 			Scenario: babbleScenario(t),
 			Timing: &sim.TimingOptions{
 				SyncEnabled: true,
 				Guardians:   guardians,
 			},
-		}, fspec.New(fspec.Options{}))
+		}, sim.ReplicaOptions{Seed: 9, Sink: rec}, fspec.New(fspec.Options{}))
 		if err != nil {
 			t.Fatalf("Run(guardians=%v): %v", guardians, err)
 		}
@@ -193,8 +189,6 @@ func TestTimingTraceByteIdentical(t *testing.T) {
 			Workload: mixedWorkload(),
 			Mode:     sim.Streaming,
 			Duration: 100 * time.Millisecond,
-			Seed:     42,
-			Sink:     rec,
 			Scenario: timingScenario(t),
 			Timing: &sim.TimingOptions{
 				DriftPPM:         100,
@@ -202,7 +196,7 @@ func TestTimingTraceByteIdentical(t *testing.T) {
 				SyncEnabled:      true,
 				Guardians:        true,
 			},
-		}, fspec.New(fspec.Options{}))
+		}, sim.ReplicaOptions{Seed: 42, Sink: rec}, fspec.New(fspec.Options{}))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -230,10 +224,8 @@ func TestScenarioAloneEnablesTiming(t *testing.T) {
 		Workload: staticOnlyWorkload(),
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
-		Seed:     5,
-		Sink:     rec,
 		Scenario: babbleScenario(t),
-	}, fspec.New(fspec.Options{}))
+	}, sim.ReplicaOptions{Seed: 5, Sink: rec}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -253,14 +245,11 @@ func TestCRCVerdictInTrace(t *testing.T) {
 	}
 	rec := trace.New()
 	_, err = sim.Run(sim.Options{
-		Config:    testConfig(),
-		Workload:  staticOnlyWorkload(),
-		Mode:      sim.Streaming,
-		Duration:  100 * time.Millisecond,
-		Seed:      11,
-		Sink:      rec,
-		InjectorA: injA,
-	}, fspec.New(fspec.Options{}))
+		Config:   testConfig(),
+		Workload: staticOnlyWorkload(),
+		Mode:     sim.Streaming,
+		Duration: 100 * time.Millisecond,
+	}, sim.ReplicaOptions{Seed: 11, InjectorA: injA, Sink: rec}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
