@@ -409,17 +409,45 @@ func BenchmarkSlackAnalysisBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkStealerAvailable measures the runtime slack query.
+// BenchmarkStealerAvailable measures the runtime slack query on the
+// per-slot mix CoEfficient issues, with the stealer advancing so the
+// per-level terms keep moving: one owned slot (the highest-priority task
+// with a pending job executes one slot; none pending, the slot idles),
+// then stealerCopies admission queries — one per proactive copy queued —
+// then one idle slot.
 func BenchmarkStealerAvailable(b *testing.B) {
+	const stealerCopies = 3
 	b.ReportAllocs()
-	a, err := slack.NewAnalysis(bbwTaskSet(b))
+	set := bbwTaskSet(b)
+	a, err := slack.NewAnalysis(set)
 	if err != nil {
 		b.Fatal(err)
 	}
 	st := slack.NewStealer(a)
+	slot := set.Tasks[0].C
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.Available(); err != nil {
+		owner := -1
+		for idx := range set.Tasks {
+			if pending, err := st.Pending(idx); err == nil && pending >= slot {
+				owner = idx
+				break
+			}
+		}
+		if owner >= 0 {
+			err = st.RunPeriodic(owner, slot)
+		} else {
+			err = st.Idle(slot)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < stealerCopies; k++ {
+			if _, err := st.Available(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := st.Idle(slot); err != nil {
 			b.Fatal(err)
 		}
 	}

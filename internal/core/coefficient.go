@@ -134,8 +134,9 @@ type Scheduler struct {
 	// Channel-A slack machinery (nil when the model is unavailable).
 	analysis *slack.Analysis
 	stealer  *slack.Stealer
-	// taskIdx maps static frame IDs to priority indices of the analysis.
-	taskIdx map[int]int
+	// taskIdx maps static frame IDs densely to priority indices of the
+	// analysis; −1 marks IDs that are not tasks.
+	taskIdx []int
 
 	// retx is the EDF-ordered retransmission queue, kept sorted by
 	// (deadline, seq) via binary insertion; jobs indexes it by instance
@@ -144,9 +145,9 @@ type Scheduler struct {
 	jobs     map[*node.Instance]*retxJob
 	nextSeq  int64
 	jobArena retxArena
-	// spawned marks instances whose proactive copies were already
-	// enqueued.
-	spawned map[*node.Instance]bool
+	// spawnedSeq is, per frame ID, the highest instance Seq whose
+	// proactive copies were already enqueued (see maybeSpawnCopies).
+	spawnedSeq []int64
 
 	// dynHardA and dynSoftA accumulate channel-A dynamic-segment service
 	// since the last cycle start, reported to the stealer lazily.
@@ -253,9 +254,8 @@ func New(opts Options) *Scheduler {
 		opts.Goal = reliability.SIL3.Goal(opts.Unit)
 	}
 	return &Scheduler{
-		opts:    opts,
-		jobs:    make(map[*node.Instance]*retxJob),
-		spawned: make(map[*node.Instance]bool),
+		opts: opts,
+		jobs: make(map[*node.Instance]*retxJob),
 	}
 }
 
@@ -299,7 +299,7 @@ func (s *Scheduler) ResetReplica() error {
 	}
 	s.retx = s.retx[:0]
 	clear(s.jobs)
-	clear(s.spawned)
+	clear(s.spawnedSeq)
 	s.nextSeq = 0
 	s.jobArena.rewind()
 	s.dynHardA, s.dynSoftA = 0, 0
@@ -325,6 +325,7 @@ func (s *Scheduler) buildPlan() error {
 		}
 	}
 	s.plan = make([]int, maxID+1)
+	s.spawnedSeq = make([]int64, maxID+1)
 	s.planMeta = s.planMeta[:0]
 	for i := range s.env.Set.Messages {
 		m := &s.env.Set.Messages[i]
@@ -401,7 +402,10 @@ func (s *Scheduler) buildSlackModel() {
 	}
 	s.analysis = analysis
 	s.stealer = slack.NewStealer(analysis)
-	s.taskIdx = make(map[int]int, len(statics))
+	s.taskIdx = make([]int, len(s.plan))
+	for i := range s.taskIdx {
+		s.taskIdx[i] = -1
+	}
 	for _, m := range statics {
 		for idx, tk := range set.Tasks {
 			if tk.Name == m.Name {
@@ -494,13 +498,15 @@ func (s *Scheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now timebase
 // reportOwnerSlot tells the stealer the owner consumed its slot.  A
 // best-effort retry beyond the released periodic work is reported as
 // aperiodic consumption instead (it is not part of the periodic model).
+//
+//perf:hotpath
 func (s *Scheduler) reportOwnerSlot(slot int, in *node.Instance) {
 	if s.stealer == nil {
 		return
 	}
 	slotLen := s.env.Cfg.StaticSlotLen
-	idx, ok := s.taskIdx[slot]
-	if !ok || in.Attempts > 0 {
+	idx := s.taskIdx[slot] // slot owns a static message, so it is in range
+	if idx < 0 || in.Attempts > 0 {
 		_ = s.stealer.RunAperiodicSoft(slotLen)
 		return
 	}
@@ -711,15 +717,26 @@ func (s *Scheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _, remai
 
 // maybeSpawnCopies enqueues, in proactive mode, the k_z blind copy jobs of
 // an instance the first time its primary transmission is scheduled.
+//
+//perf:hotpath
 func (s *Scheduler) maybeSpawnCopies(in *node.Instance) {
 	if s.opts.Reactive {
 		return
 	}
-	k := s.planFor(in.Msg.ID)
-	if k <= 0 || s.spawned[in] {
+	id := in.Msg.ID
+	k := s.planFor(id)
+	// "Already spawned" is a per-frame-ID high-water mark over Seq instead
+	// of a per-instance set.  The two agree: primaries reach this point
+	// only through PeekStatic/PeekDynamicFor, which offer a frame ID's
+	// pending instances oldest first (Seq order); a delivered or dropped
+	// instance leaves its queue for good (requeueHome is reactive-only,
+	// and reactive mode returned above); so an instance with a Seq at or
+	// below the mark is one whose copies were spawned and that is still
+	// pending, and an instance above it has never been spawned.
+	if k <= 0 || in.Seq <= s.spawnedSeq[id] {
 		return
 	}
-	s.spawned[in] = true
+	s.spawnedSeq[id] = in.Seq
 	for i := 0; i < k; i++ {
 		s.enqueueJob(in, "copy", i)
 	}
@@ -780,9 +797,6 @@ func (s *Scheduler) finish(in *node.Instance) {
 		if j, exists := s.jobs[in]; exists {
 			s.removeJob(j)
 		}
-	}
-	if len(s.spawned) != 0 {
-		delete(s.spawned, in)
 	}
 	ecu := s.env.ECU(in.Msg.Node)
 	if in.Msg.Kind == signal.Periodic {
@@ -918,9 +932,6 @@ func (s *Scheduler) InstanceDropped(in *node.Instance, _ timebase.Macrotick) {
 		if j, exists := s.jobs[in]; exists {
 			s.removeJob(j)
 		}
-	}
-	if len(s.spawned) != 0 {
-		delete(s.spawned, in)
 	}
 	if len(s.retx) == 0 {
 		return

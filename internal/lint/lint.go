@@ -162,11 +162,12 @@ var criticalScope = map[string][]string{
 	"errdrop":       nil, // whole repository
 	// hotpath only fires inside functions that opt in with a
 	// //perf:hotpath marker, so it is scoped to the packages the
-	// engine's cycle loop traverses.
+	// engine's cycle loop traverses (CoEfficient's slot methods query
+	// the slack stealer, hence internal/slack).
 	"hotpath": {
 		"internal/sim", "internal/sim/batch", "internal/core",
 		"internal/fspec", "internal/node", "internal/trace",
-		"internal/fault",
+		"internal/fault", "internal/slack",
 	},
 	// seedtaint guards the seed-derivation contract where seeds are
 	// minted and consumed: the derivation core, the experiment grid, the

@@ -353,19 +353,21 @@ func (e *ECU) StaticBacklog(t timebase.Macrotick) int {
 }
 
 // DropExpiredStatic removes expired instances from all static buffers and
-// returns them, walking the owned frame IDs in ascending order so
-// same-instant drops always land in the trace in the same sequence.
-func (e *ECU) DropExpiredStatic(t timebase.Macrotick) []*Instance {
+// appends them to dst, walking the owned frame IDs in ascending order so
+// same-instant drops always land in the trace in the same sequence.  It
+// returns the extended slice; a caller that passes the same scratch slice
+// back every cycle stops allocating once it has grown to the largest
+// per-cycle drop count.
+func (e *ECU) DropExpiredStatic(dst []*Instance, t timebase.Macrotick) []*Instance {
 	if e.staticCount == 0 {
-		return nil
+		return dst
 	}
-	var dropped []*Instance
 	for _, fid := range e.staticIDs {
 		buf := e.staticBufs[fid]
 		keep := buf[:0]
 		for _, in := range buf {
 			if in.Expired(t) {
-				dropped = append(dropped, in)
+				dst = append(dst, in)
 				e.staticCount--
 			} else {
 				keep = append(keep, in)
@@ -373,7 +375,7 @@ func (e *ECU) DropExpiredStatic(t timebase.Macrotick) []*Instance {
 		}
 		e.staticBufs[fid] = keep
 	}
-	return dropped
+	return dst
 }
 
 // EnqueueDynamic inserts a dynamic instance into its message's buffer.
@@ -556,13 +558,13 @@ func (e *ECU) DynamicBacklog(t timebase.Macrotick) int {
 }
 
 // DropExpiredDynamic removes expired instances from the dynamic buffers
-// and returns them in (priority, frame ID, release, seq) order, which is
-// deterministic across runs.
-func (e *ECU) DropExpiredDynamic(t timebase.Macrotick) []*Instance {
+// and appends them to dst in (priority, frame ID, release, seq) order,
+// which is deterministic across runs.  It returns the extended slice, as
+// DropExpiredStatic does.
+func (e *ECU) DropExpiredDynamic(dst []*Instance, t timebase.Macrotick) []*Instance {
 	if e.dynCount == 0 {
-		return nil
+		return dst
 	}
-	var dropped []*Instance
 	for _, st := range e.dynStreams {
 		// Scan up to the first expired instance before rewriting anything:
 		// most cycles drop nothing, and the untouched prefix needs no
@@ -577,7 +579,7 @@ func (e *ECU) DropExpiredDynamic(t timebase.Macrotick) []*Instance {
 		keep := st.buf[:i]
 		for _, in := range st.buf[i:] {
 			if in.Expired(t) {
-				dropped = append(dropped, in)
+				dst = append(dst, in)
 				e.dynCount--
 			} else {
 				keep = append(keep, in)
@@ -588,7 +590,7 @@ func (e *ECU) DropExpiredDynamic(t timebase.Macrotick) []*Instance {
 		}
 		st.buf = keep
 	}
-	return dropped
+	return dst
 }
 
 // StaticFrameIDs returns the owned static frame IDs.

@@ -95,7 +95,7 @@ func TestDropExpiredStatic(t *testing.T) {
 			t.Fatalf("EnqueueStatic: %v", err)
 		}
 	}
-	dropped := e.DropExpiredStatic(100)
+	dropped := e.DropExpiredStatic(nil, 100)
 	if len(dropped) != 1 || dropped[0].Seq != 2 {
 		t.Fatalf("DropExpiredStatic = %+v, want seq 2 only", dropped)
 	}
@@ -184,7 +184,7 @@ func TestDropExpiredDynamic(t *testing.T) {
 	if err := e.EnqueueDynamic(inst(m, 2, 0, 500)); err != nil {
 		t.Fatal(err)
 	}
-	dropped := e.DropExpiredDynamic(100)
+	dropped := e.DropExpiredDynamic(nil, 100)
 	if len(dropped) != 1 || dropped[0].Seq != 1 {
 		t.Fatalf("DropExpiredDynamic = %+v", dropped)
 	}

@@ -2,11 +2,9 @@ package sim
 
 import (
 	"testing"
-	"time"
 
 	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/node"
-	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/timebase"
 	"github.com/flexray-go/coefficient/internal/trace"
 )
@@ -65,31 +63,7 @@ func (s *spinScheduler) InstanceDropped(*node.Instance, timebase.Macrotick) {}
 // boxing on the runCycle path fails this test (and the hotpath lint
 // that guards the same functions statically).
 func TestHotPathAllocFree(t *testing.T) {
-	cfg := timebase.Config{
-		MacrotickDuration:         time.Microsecond,
-		MacroPerCycle:             1000,
-		StaticSlots:               10,
-		StaticSlotLen:             50,
-		Minislots:                 40,
-		MinislotLen:               5,
-		DynamicSlotIdlePhase:      1,
-		MinislotActionPointOffset: 1,
-	}
-	set := signal.Set{Name: "alloc", Messages: []signal.Message{
-		{ID: 1, Name: "s1", Node: 0, Kind: signal.Periodic,
-			Period: 2 * time.Millisecond, Deadline: 2 * time.Millisecond, Bits: 64},
-		{ID: 2, Name: "s2", Node: 1, Kind: signal.Periodic,
-			Period: 4 * time.Millisecond, Deadline: 4 * time.Millisecond, Bits: 128},
-		{ID: 20, Name: "d20", Node: 2, Kind: signal.Aperiodic,
-			Period: 5 * time.Millisecond, Deadline: 5 * time.Millisecond,
-			Bits: 64, Priority: 1},
-	}}
-	compiled, err := Compile(Options{
-		Config:         cfg,
-		Workload:       set,
-		Mode:           Batch,
-		BatchInstances: 4,
-	})
+	compiled, err := Compile(allocTestOptions(Batch))
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}

@@ -201,6 +201,8 @@ type engine struct {
 	// last state.
 	watchedNodes []int
 	nodeDown     map[int]bool
+	// dropped is dropExpired's scratch slice, reused every cycle.
+	dropped []*node.Instance
 }
 
 func workloadNodes(set signal.Set) int {
@@ -388,23 +390,25 @@ func (e *engine) runDynamicSegment(cycle int64) {
 		return
 	}
 	segStart := cfg.DynamicSegmentStart(cycle)
+	// No frame can start past pLatestTx, and none can be sent once the
+	// slot counter passes the last dynamic frame ID (checkDynamicTx's
+	// frame-ID rule), so the rest of the segment is silent: the walk
+	// ends there instead of counting idle minislots to the end.
+	lastMinislot := min(cfg.Minislots, e.latestTx)
 	for _, ch := range bothChannels {
 		minislot := 1
 		slotCounter := cfg.StaticSlots + 1
-		for minislot <= cfg.Minislots {
+		for minislot <= lastMinislot && slotCounter <= e.env.lastDynID {
 			now := segStart + timebase.Macrotick(minislot-1)*cfg.MinislotLen
 			remaining := cfg.Minislots - minislot + 1
-			var tx *Transmission
-			if minislot <= e.latestTx {
-				tx = e.sched.DynamicSlot(ch, cycle, slotCounter, minislot, remaining, now)
-			}
+			tx := e.sched.DynamicSlot(ch, cycle, slotCounter, minislot, remaining, now)
 			if tx == nil {
 				minislot++
 				slotCounter++
 				continue
 			}
 			need := cfg.MinislotsForFrame(tx.Duration)
-			if err := e.checkDynamicTx(tx, ch, need, remaining); err != nil {
+			if err := e.checkDynamicTx(tx, ch, slotCounter, need, remaining); err != nil {
 				e.recordInvalid(tx, ch, now, err)
 				minislot++
 				slotCounter++
@@ -417,9 +421,16 @@ func (e *engine) runDynamicSegment(cycle int64) {
 	}
 }
 
-func (e *engine) checkDynamicTx(tx *Transmission, ch frame.Channel, need, remaining int) error {
+// checkDynamicTx enforces the FTDMA rules on a dynamic transmission: a
+// frame goes out only in the dynamic slot whose counter equals its frame
+// ID, and only if it fits the minislots left in the segment.
+func (e *engine) checkDynamicTx(tx *Transmission, ch frame.Channel, slotCounter, need, remaining int) error {
 	if err := tx.validate(e.env); err != nil {
 		return err
+	}
+	if tx.Instance.Msg.ID != slotCounter {
+		return fmt.Errorf("%w: frame ID %d sent in dynamic slot %d",
+			ErrBadTransmission, tx.Instance.Msg.ID, slotCounter)
 	}
 	if need > remaining {
 		return fmt.Errorf("%w: needs %d minislots, %d remain", ErrBadTransmission, need, remaining)
@@ -589,10 +600,10 @@ func (e *engine) transmit(tx *Transmission, ch frame.Channel, start timebase.Mac
 // a deterministic sequence (map order would reshuffle them every run).
 func (e *engine) dropExpired(now timebase.Macrotick) {
 	for _, ecu := range e.env.OrderedECUs() {
-		for _, in := range ecu.DropExpiredStatic(now) {
-			e.dropInstance(in, now)
-		}
-		for _, in := range ecu.DropExpiredDynamic(now) {
+		e.dropped = ecu.DropExpiredStatic(e.dropped[:0], now)
+		e.dropped = ecu.DropExpiredDynamic(e.dropped, now)
+		for i, in := range e.dropped {
+			e.dropped[i] = nil
 			e.dropInstance(in, now)
 		}
 	}

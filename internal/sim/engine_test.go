@@ -588,12 +588,17 @@ func (b *brokenScheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now ti
 			Duration: b.env.Cfg.StaticSlotLen + 10}
 	case 1: // nil instance
 		return &sim.Transmission{Channel: ch, Duration: 10}
-	default: // non-positive duration
+	case 2: // non-positive duration
 		return &sim.Transmission{Instance: in, Channel: ch, Duration: 0}
+	default: // mode 3 breaks only the dynamic segment
+		return nil
 	}
 }
 
 func (b *brokenScheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _, remaining int, now timebase.Macrotick) *sim.Transmission {
+	if b.mode == 3 {
+		return b.wrongDynamicSlot(ch, slotCounter, remaining, now)
+	}
 	m := b.env.DynamicMsg(slotCounter)
 	if m == nil {
 		return nil
@@ -607,13 +612,29 @@ func (b *brokenScheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _,
 		Duration: b.env.Cfg.MinislotLen * timebase.Macrotick(remaining+10)}
 }
 
+// wrongDynamicSlot sends a frame that is valid in every other respect —
+// pending, attached, fitting the minislots left — in a dynamic slot whose
+// counter is not its frame ID.
+func (b *brokenScheduler) wrongDynamicSlot(ch frame.Channel, slotCounter, remaining int, now timebase.Macrotick) *sim.Transmission {
+	for _, d := range b.env.Set.Dynamic() {
+		m := b.env.DynamicMsg(d.ID)
+		if m.ID == slotCounter || b.env.MinislotsFor(m) > remaining {
+			continue
+		}
+		if in := b.env.ECU(m.Node).PeekDynamicFor(m.ID, now); in != nil {
+			return &sim.Transmission{Instance: in, Channel: ch, Duration: b.env.FrameDuration(m)}
+		}
+	}
+	return nil
+}
+
 func (b *brokenScheduler) Result(*sim.Transmission, bool, timebase.Macrotick) {}
 func (b *brokenScheduler) InstanceDropped(*node.Instance, timebase.Macrotick) {}
 
 // The engine must reject protocol-violating transmissions without
 // panicking, recording them as invalid drops in the trace.
 func TestEngineRejectsProtocolViolations(t *testing.T) {
-	for mode := 0; mode < 3; mode++ {
+	for mode := 0; mode < 4; mode++ {
 		rec := trace.New()
 		res, err := sim.Run(sim.Options{
 			Config:   testConfig(),
@@ -634,6 +655,16 @@ func TestEngineRejectsProtocolViolations(t *testing.T) {
 		if mode != 1 && res.Report.Delivered[metrics.Static] != 0 {
 			t.Errorf("mode %d: %d deliveries from invalid transmissions",
 				mode, res.Report.Delivered[metrics.Static])
+		}
+		// A dynamic frame goes out only in the slot whose counter equals
+		// its frame ID.
+		if mode == 3 {
+			if got := res.Report.Delivered[metrics.Dynamic]; got != 0 {
+				t.Errorf("mode 3: %d dynamic deliveries in the wrong slot", got)
+			}
+			if len(invalid) > 0 && !strings.Contains(invalid[0].Detail, "dynamic slot") {
+				t.Errorf("mode 3: invalid drop %q does not name the slot rule", invalid[0].Detail)
+			}
 		}
 	}
 }

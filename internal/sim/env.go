@@ -83,6 +83,9 @@ type Env struct {
 	wireBitsByID  []int
 	attachedA     []bool
 	attachedB     []bool
+	// lastDynID is the highest dynamic frame ID of the workload (0 when
+	// there is none): the FTDMA walk ends once the slot counter passes it.
+	lastDynID int
 }
 
 // Record forwards an event to the trace sink, tolerating hand-built
@@ -124,6 +127,9 @@ func (e *Env) compile() {
 		case signal.Aperiodic:
 			if m.ID >= 0 && m.ID < len(e.dynamicByID) {
 				e.dynamicByID[m.ID] = m
+			}
+			if m.ID > e.lastDynID {
+				e.lastDynID = m.ID
 			}
 		}
 		e.compileMsg(m)

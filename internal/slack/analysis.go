@@ -277,17 +277,22 @@ func (a *Analysis) LevelIdle(level int, t timebase.Macrotick) (timebase.Macrotic
 	if level < 1 || level > len(a.levels) {
 		return 0, fmt.Errorf("%w: %d of %d", ErrBadLevel, level, len(a.levels))
 	}
+	return a.levelIdle(level, t), nil
+}
+
+// levelIdle is LevelIdle for a level already known to be in range.
+func (a *Analysis) levelIdle(level int, t timebase.Macrotick) timebase.Macrotick {
 	if t <= 0 {
-		return 0, nil
+		return 0
 	}
 	if t <= a.window {
-		return a.idleAtRaw(level, t), nil
+		return a.idleAtRaw(level, t)
 	}
 	// Fold t into (window−hyper, window] and add whole hyperperiods.
 	over := t - a.window
 	m := over/a.hyper + 1
 	folded := t - m*a.hyper
-	return a.idleAtRaw(level, folded) + m*a.idlePerHyper[level-1], nil
+	return a.idleAtRaw(level, folded) + m*a.idlePerHyper[level-1]
 }
 
 // idleAtRaw evaluates the level table inside the simulated window.

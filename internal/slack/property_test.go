@@ -9,6 +9,31 @@ import (
 	"github.com/flexray-go/coefficient/internal/timebase"
 )
 
+// randomTaskSet draws a small random periodic task set (2–3 tasks,
+// periods 3–12) and its analysis; ok is false for an overloaded or
+// unschedulable draw, which callers skip.
+func randomTaskSet(rng *fault.RNG) (*task.Set, *Analysis, []task.Periodic, bool) {
+	periods := []timebase.Macrotick{3, 4, 5, 6, 8, 10, 12}
+	n := 2 + rng.Intn(2)
+	tasks := make([]task.Periodic, 0, n)
+	for i := 0; i < n; i++ {
+		p := periods[rng.Intn(len(periods))]
+		c := timebase.Macrotick(1 + rng.Intn(2))
+		d := c + timebase.Macrotick(rng.Intn(int(p-c)+1))
+		phi := timebase.Macrotick(rng.Intn(int(p)))
+		tasks = append(tasks, task.Periodic{Name: "t", C: c, T: p, Phi: phi, D: d})
+	}
+	s, err := task.NewSet(tasks)
+	if err != nil {
+		return nil, nil, nil, false
+	}
+	a, err := NewAnalysis(s)
+	if err != nil {
+		return nil, nil, nil, false
+	}
+	return s, a, tasks, true
+}
+
 // Property: for randomized small task sets, the event-driven Capacity
 // matches the tick-level brute force at every horizon up to two
 // hyperperiods.
@@ -17,24 +42,10 @@ func TestCapacityMatchesBruteForceProperty(t *testing.T) {
 		t.Skip("slow brute-force cross-check")
 	}
 	rng := fault.NewRNG(20140610)
-	periods := []timebase.Macrotick{3, 4, 5, 6, 8, 10, 12}
 	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(2)
-		tasks := make([]task.Periodic, 0, n)
-		for i := 0; i < n; i++ {
-			p := periods[rng.Intn(len(periods))]
-			c := timebase.Macrotick(1 + rng.Intn(2))
-			d := c + timebase.Macrotick(rng.Intn(int(p-c)+1))
-			phi := timebase.Macrotick(rng.Intn(int(p)))
-			tasks = append(tasks, task.Periodic{Name: "t", C: c, T: p, Phi: phi, D: d})
-		}
-		s, err := task.NewSet(tasks)
-		if err != nil {
-			continue // overloaded draw
-		}
-		a, err := NewAnalysis(s)
-		if err != nil {
-			continue // unschedulable draw
+		s, a, tasks, ok := randomTaskSet(rng)
+		if !ok {
+			continue
 		}
 		h := a.Hyperperiod()
 		if h > 150 {
@@ -53,6 +64,154 @@ func TestCapacityMatchesBruteForceProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Property: after a prefix that idles whenever the slack allows it (and
+// otherwise follows the fixed-priority schedule), Capacity still matches
+// the tick-level brute force replaying the same prefix.  Idle is the
+// operation the incremental stealer turned into a shared offset, so the
+// projection must read the per-level inactivity back exactly.
+func TestCapacityAfterIdlePrefixMatchesBruteForceProperty(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow brute-force cross-check")
+	}
+	rng := fault.NewRNG(20260118)
+	checked := 0
+	for trial := 0; trial < 40; trial++ {
+		s, a, tasks, ok := randomTaskSet(rng)
+		if !ok {
+			continue
+		}
+		h := a.Hyperperiod()
+		if h > 150 {
+			continue // keep the brute force cheap
+		}
+		st := NewStealer(a)
+		plen := timebase.Macrotick(1 + rng.Intn(int(2*h)))
+		prefix := make([]int, 0, plen)
+		for now := timebase.Macrotick(0); now < plen; now++ {
+			run := -1
+			for i := range tasks {
+				if p, err := st.Pending(i); err == nil && p > 0 {
+					run = i
+					break
+				}
+			}
+			avail, err := st.Available()
+			if err != nil {
+				t.Fatalf("trial %d: Available: %v", trial, err)
+			}
+			if run >= 0 && (avail == 0 || rng.Intn(4) == 0) {
+				if err := st.RunPeriodic(run, 1); err != nil {
+					t.Fatalf("trial %d: RunPeriodic: %v", trial, err)
+				}
+				prefix = append(prefix, run)
+				continue
+			}
+			if err := st.Idle(1); err != nil {
+				t.Fatalf("trial %d: Idle: %v", trial, err)
+			}
+			prefix = append(prefix, -1)
+		}
+		for tb := plen; tb <= plen+2*h; tb += 1 + timebase.Macrotick(rng.Intn(3)) {
+			got, err := st.Capacity(tb)
+			if err != nil {
+				t.Fatalf("trial %d: Capacity(%d): %v", trial, tb, err)
+			}
+			want := bruteForceCapacityAfter(s, prefix, tb, a.Window()+tb)
+			if got != want {
+				t.Fatalf("trial %d (%+v, prefix %v): Capacity(%d) = %d, brute force %d",
+					trial, tasks, prefix, tb, got, want)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no task set was drawn")
+	}
+}
+
+// Property: the incrementally kept slack keys agree with a direct
+// evaluation of the paper's runtime slack after every operation of a
+// random sequence — S(t) = max(0, min_i [A_i(d_i) − C(t) − I_i(t)]) with
+// d_i the deadline of task i's next uncompleted job.
+func TestIncrementalAvailableMatchesDirectProperty(t *testing.T) {
+	rng := fault.NewRNG(20140611)
+	checked := 0
+	for trial := 0; trial < 60; trial++ {
+		_, a, tasks, ok := randomTaskSet(rng)
+		if !ok {
+			continue
+		}
+		st := NewStealer(a)
+		executed := make([]timebase.Macrotick, len(tasks))
+		for op := 0; op < 400; op++ {
+			var err error
+			switch rng.Intn(9) {
+			case 0, 1, 2: // periodic execution within released work
+				i := rng.Intn(len(tasks))
+				var pending timebase.Macrotick
+				if pending, err = st.Pending(i); err == nil && pending > 0 {
+					dt := timebase.Macrotick(1 + rng.Intn(int(pending)))
+					err = st.RunPeriodic(i, dt)
+					executed[i] += dt
+				}
+			case 3:
+				err = st.RunAperiodic(timebase.Macrotick(1 + rng.Intn(3)))
+			case 4:
+				err = st.RunAperiodicSoft(timebase.Macrotick(1 + rng.Intn(3)))
+			case 5, 6, 7:
+				err = st.Idle(timebase.Macrotick(1 + rng.Intn(4)))
+			default:
+				if rng.Intn(10) == 0 {
+					st.Reset()
+					for i := range executed {
+						executed[i] = 0
+					}
+				}
+			}
+			if err != nil {
+				t.Fatalf("trial %d op %d: %v", trial, op, err)
+			}
+			got, err := st.Available()
+			if err != nil {
+				t.Fatalf("trial %d op %d: Available: %v", trial, op, err)
+			}
+			if want := directAvailable(t, a, st, executed); got != want {
+				t.Fatalf("trial %d op %d (%+v, now %d): Available = %d, direct %d",
+					trial, op, tasks, st.Now(), got, want)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no task set was drawn")
+	}
+}
+
+// directAvailable evaluates max(0, min_i LevelIdle(i, AbsDeadline(
+// executed_i/C_i + 1)) − Consumed() − Inactivity(i)) from scratch.
+func directAvailable(t *testing.T, a *Analysis, st *Stealer, executed []timebase.Macrotick) timebase.Macrotick {
+	t.Helper()
+	var least timebase.Macrotick
+	for level := 1; level <= a.Levels(); level++ {
+		tk := a.Set().Tasks[level-1]
+		idle, err := a.LevelIdle(level, tk.AbsDeadline(int64(executed[level-1]/tk.C)+1))
+		if err != nil {
+			t.Fatalf("LevelIdle(%d): %v", level, err)
+		}
+		inact, err := st.Inactivity(level)
+		if err != nil {
+			t.Fatalf("Inactivity(%d): %v", level, err)
+		}
+		if s := idle - st.Consumed() - inact; level == 1 || s < least {
+			least = s
+		}
+	}
+	if least < 0 {
+		return 0
+	}
+	return least
 }
 
 // Property: Capacity is monotone in the horizon and never exceeds the wall

@@ -3,6 +3,7 @@ package slack
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/flexray-go/coefficient/internal/task"
@@ -46,17 +47,28 @@ type Stealer struct {
 	now timebase.Macrotick
 	// consumed is C(t): total aperiodic processing so far (top priority).
 	consumed timebase.Macrotick
-	// inactive[i] is I_{i+1}(t): level-(i+1) idle time elapsed unused.
+	// I_{i+1}(t), the level-(i+1) idle time elapsed unused, is kept split
+	// as inactive[i] + idleAll: idle bus time accrues to every level
+	// alike, so Idle bumps the shared idleAll in O(1) and only
+	// RunPeriodic, which charges a prefix of levels, touches inactive.
 	inactive []timebase.Macrotick
+	idleAll  timebase.Macrotick
 	// executed[i] is the total periodic execution reported for task i.
 	executed []timebase.Macrotick
+	// key[i] = A_{i+1}(d_{i+1}) − inactive[i], with d_{i+1} the deadline
+	// of task i's next uncompleted job and completed[i] the job count it
+	// was taken at.  Only RunPeriodic moves either term, so Available is
+	// min(key) − consumed − idleAll: one pass of subtractions, no
+	// division.
+	key       []timebase.Macrotick
+	completed []int64
 	// guaranteed holds admitted-but-unfinished hard aperiodic jobs in
 	// EDF order.
 	guaranteed []*guaranteedJob
 	// cacheA and cacheCompleted memoize A_i(d_i) per level keyed by the
-	// completed-job count: LevelIdle(level, d) is pure in (level, d) and
-	// d only moves when a job of the level completes, so slackAt's inner
-	// loop reduces to subtractions between completions.
+	// completed-job count for Capacity's projection, which runs slackAt
+	// on copied counters: LevelIdle(level, d) is pure in (level, d) and d
+	// only moves when a job of the level completes.
 	cacheA         []timebase.Macrotick
 	cacheCompleted []int64
 }
@@ -70,16 +82,17 @@ type guaranteedJob struct {
 // NewStealer returns a runtime stealer over the analysis, starting at time
 // zero.
 func NewStealer(a *Analysis) *Stealer {
+	n := a.Levels()
 	st := &Stealer{
-		a:        a,
-		inactive: make([]timebase.Macrotick, a.Levels()),
-		executed: make([]timebase.Macrotick, a.Levels()),
+		a:              a,
+		inactive:       make([]timebase.Macrotick, n),
+		executed:       make([]timebase.Macrotick, n),
+		key:            make([]timebase.Macrotick, n),
+		completed:      make([]int64, n),
+		cacheA:         make([]timebase.Macrotick, n),
+		cacheCompleted: make([]int64, n),
 	}
-	st.cacheA = make([]timebase.Macrotick, a.Levels())
-	st.cacheCompleted = make([]int64, a.Levels())
-	for i := range st.cacheCompleted {
-		st.cacheCompleted[i] = -1
-	}
+	st.Reset()
 	return st
 }
 
@@ -91,22 +104,26 @@ func NewStealer(a *Analysis) *Stealer {
 func (st *Stealer) Reset() {
 	st.now = 0
 	st.consumed = 0
+	st.idleAll = 0
 	for i := range st.inactive {
 		st.inactive[i] = 0
-	}
-	for i := range st.executed {
 		st.executed[i] = 0
-	}
-	for i := range st.cacheA {
+		st.completed[i] = 0
+		st.key[i] = st.levelIdleAtJob(i, 0)
 		st.cacheA[i] = 0
-	}
-	for i := range st.cacheCompleted {
 		st.cacheCompleted[i] = -1
 	}
 	for i := range st.guaranteed {
 		st.guaranteed[i] = nil
 	}
 	st.guaranteed = st.guaranteed[:0]
+}
+
+// levelIdleAtJob returns A_{i+1}(d), d the deadline of the first job of
+// 0-based task i after its completed-th: the level idle time available
+// before the next uncompleted job must finish.
+func (st *Stealer) levelIdleAtJob(i int, completed int64) timebase.Macrotick {
+	return st.a.levelIdle(i+1, st.a.set.Tasks[i].AbsDeadline(completed+1))
 }
 
 // Now returns the stealer's current time.
@@ -120,7 +137,7 @@ func (st *Stealer) Inactivity(level int) (timebase.Macrotick, error) {
 	if level < 1 || level > len(st.inactive) {
 		return 0, fmt.Errorf("%w: %d of %d", ErrBadLevel, level, len(st.inactive))
 	}
-	return st.inactive[level-1], nil
+	return st.inactive[level-1] + st.idleAll, nil
 }
 
 // releasedWork returns the total work of task i released by time t.
@@ -144,7 +161,9 @@ func (st *Stealer) Pending(i int) (timebase.Macrotick, error) {
 
 // RunPeriodic reports that the 0-based periodic task taskIdx executed for
 // dt starting at the current time.  Levels 1..taskIdx accrue inactivity
-// (their own work was absent while a lower-priority task ran).
+// (their own work was absent while a lower-priority task ran); when a job
+// of taskIdx completes, its level's slack key moves to the next job's
+// deadline.
 func (st *Stealer) RunPeriodic(taskIdx int, dt timebase.Macrotick) error {
 	if taskIdx < 0 || taskIdx >= st.a.Levels() {
 		return fmt.Errorf("%w: task index %d", ErrBadLevel, taskIdx)
@@ -157,8 +176,13 @@ func (st *Stealer) RunPeriodic(taskIdx int, dt timebase.Macrotick) error {
 	}
 	for i := 0; i < taskIdx; i++ {
 		st.inactive[i] += dt
+		st.key[i] -= dt
 	}
 	st.executed[taskIdx] += dt
+	if c := int64(st.executed[taskIdx] / st.a.set.Tasks[taskIdx].C); c != st.completed[taskIdx] {
+		st.completed[taskIdx] = c
+		st.key[taskIdx] = st.levelIdleAtJob(taskIdx, c) - st.inactive[taskIdx]
+	}
 	st.now += dt
 	return nil
 }
@@ -208,9 +232,7 @@ func (st *Stealer) Idle(dt timebase.Macrotick) error {
 	if dt < 0 {
 		return fmt.Errorf("%w: dt %d", ErrTimeTravel, dt)
 	}
-	for i := range st.inactive {
-		st.inactive[i] += dt
-	}
+	st.idleAll += dt
 	st.now += dt
 	return nil
 }
@@ -232,9 +254,12 @@ func (st *Stealer) DropGuaranteed(name string) bool {
 // deadline of its next *uncompleted* job — the paper's A_{i(r_i(t)+1)},
 // where r_i(t) is the number of τ_i jobs completed by t.  Pending
 // guaranteed hard work is NOT subtracted; see AvailableSoft for the
-// soft-aperiodic view.
+// soft-aperiodic view.  The per-level terms are the incrementally kept
+// keys, so the query is a min over the levels with no division.
+//
+//perf:hotpath
 func (st *Stealer) Available() (timebase.Macrotick, error) {
-	s := st.slackAt(st.consumed, st.inactive, st.executed)
+	s := slices.Min(st.key) - st.consumed - st.idleAll
 	if s < 0 {
 		s = 0
 	}
@@ -243,7 +268,8 @@ func (st *Stealer) Available() (timebase.Macrotick, error) {
 
 // slackAt evaluates min_i [A_i(d_i) − c − inact_i] with d_i the deadline of
 // task i's next uncompleted job, derived from executed work (jobs of one
-// task complete FIFO, C units each).
+// task complete FIFO, C units each).  Capacity's projection runs it on
+// copied counters; the live view is Available's keys.
 func (st *Stealer) slackAt(c timebase.Macrotick, inact, executed []timebase.Macrotick) timebase.Macrotick {
 	min := timebase.Macrotick(0)
 	for level := 1; level <= st.a.Levels(); level++ {
@@ -251,12 +277,7 @@ func (st *Stealer) slackAt(c timebase.Macrotick, inact, executed []timebase.Macr
 		completed := int64(executed[level-1] / tk.C)
 		a := st.cacheA[level-1]
 		if st.cacheCompleted[level-1] != completed {
-			d := tk.AbsDeadline(completed + 1)
-			var err error
-			a, err = st.a.LevelIdle(level, d)
-			if err != nil {
-				return 0
-			}
+			a = st.a.levelIdle(level, tk.AbsDeadline(completed+1))
 			st.cacheA[level-1] = a
 			st.cacheCompleted[level-1] = completed
 		}
@@ -316,7 +337,10 @@ func (st *Stealer) Capacity(tb timebase.Macrotick) (timebase.Macrotick, error) {
 	// Projection state, copied from live counters.
 	tau := st.now
 	simC := st.consumed
-	simI := append([]timebase.Macrotick(nil), st.inactive...)
+	simI := make([]timebase.Macrotick, n)
+	for i, v := range st.inactive {
+		simI[i] = v + st.idleAll
+	}
 	simExec := append([]timebase.Macrotick(nil), st.executed...)
 	pending := make([]timebase.Macrotick, n)
 	nextRel := make([]timebase.Macrotick, n)

@@ -203,6 +203,15 @@ func TestCapacityMatchesBruteForce(t *testing.T) {
 // total stolen by tb because the per-deadline constraints are cumulative
 // prefix caps.
 func bruteForceCapacity(s *task.Set, tb, horizon timebase.Macrotick) timebase.Macrotick {
+	return bruteForceCapacityAfter(s, nil, tb, horizon)
+}
+
+// bruteForceCapacityAfter first replays a prefix of len(prefix) ticks —
+// prefix[t] is the task index that executed in tick t, or −1 for a tick
+// with no periodic execution (idle or aperiodic) — and then steals
+// greedily as bruteForceCapacity does, counting only the ticks stolen in
+// [len(prefix), tb).
+func bruteForceCapacityAfter(s *task.Set, prefix []int, tb, horizon timebase.Macrotick) timebase.Macrotick {
 	type job struct {
 		deadline  timebase.Macrotick
 		remaining timebase.Macrotick
@@ -266,6 +275,15 @@ func bruteForceCapacity(s *task.Set, tb, horizon timebase.Macrotick) timebase.Ma
 	var stolen timebase.Macrotick
 	for now := timebase.Macrotick(0); now < tb; now++ {
 		release(pending, nextRel, now)
+		if int(now) < len(prefix) {
+			if run := prefix[now]; run >= 0 {
+				pending[run][0].remaining--
+				if pending[run][0].remaining == 0 {
+					pending[run] = pending[run][1:]
+				}
+			}
+			continue
+		}
 		// Try stealing this tick.
 		p2, r2 := clone()
 		if feasible(p2, r2, now+1) {
